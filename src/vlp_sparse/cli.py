@@ -28,7 +28,7 @@ from .scenario import (SCHEMES, SOLVERS, ConfigError, SceneConfig,
                        load_config)
 
 REPORT_COLUMNS = ("scheme", "K", "snr_db", "L", "trials",
-                  "mean_error_m", "std_error_m", "success_rate")
+                  "mean_error_m", "std_error_m", "success_rate", "failures")
 
 
 def _fmt(value) -> str:
@@ -108,7 +108,8 @@ def cmd_simulate(config: SceneConfig, out_dir: str,
     results = run_trial(config, rng, schemes=[config.scheme])
     result = results[config.scheme]
     if result.failed:
-        raise ConfigError(f"trial failed for scheme '{config.scheme}'")
+        raise ConfigError(f"trial failed for scheme '{config.scheme}': "
+                          f"{result.failure}")
 
     scatter_path = os.path.join(out_dir, "scatter.csv")
     aligned = aligned_estimates(result.est_positions, result.true_positions)

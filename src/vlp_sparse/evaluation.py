@@ -79,6 +79,7 @@ class TrialResult:
     exact_support: bool
     runtime_s: float
     failed: bool = False
+    failure: str | None = None  # "ExceptionType: message" when failed
     support: np.ndarray | None = None
     est_positions: np.ndarray | None = None
     true_positions: np.ndarray | None = None
@@ -276,11 +277,12 @@ def run_trial(config: SceneConfig, rng: np.random.Generator,
                 runtime_s=runtime, support=np.asarray(support),
                 est_positions=est, true_positions=targets.true_positions,
                 measurement=meas)
-        except (ValueError, np.linalg.LinAlgError):
+        except (ValueError, np.linalg.LinAlgError) as exc:
             results[scheme] = TrialResult(
                 scheme=scheme, k=k, snr_db=realized_snr,
                 snapshots=config.snapshots, error_m=math.nan,
                 exact_support=False, runtime_s=0.0, failed=True,
+                failure=f"{type(exc).__name__}: {exc}",
                 true_positions=targets.true_positions)
     return results
 

@@ -313,6 +313,29 @@ def _estimated_snr_db(values: np.ndarray, noise_variance: float) -> float:
     return 10.0 * math.log10(mean_power / noise_variance) if mean_power > 0 else -math.inf
 
 
+def _distinct_cells(grid: GridModel, xy: np.ndarray) -> np.ndarray:
+    """Containing cells of ``xy`` (K, 2), made distinct.
+
+    Where positions share a cell, the one nearest its center keeps it and
+    each other takes the nearest cell not yet taken (ties toward the lowest
+    index), so the support always holds K cells.
+    """
+    cells = grid.cell_of(xy)
+    k = len(cells)
+    dist = np.linalg.norm(xy[:, None, :] - grid.centers[None, :, :2], axis=2)
+    order = np.lexsort((np.arange(k), dist[np.arange(k), cells]))
+    taken = np.zeros(grid.n, dtype=bool)
+    displaced = []
+    for i in order:
+        if taken[cells[i]]:
+            displaced.append(i)
+        taken[cells[i]] = True
+    for i in displaced:
+        cells[i] = int(np.argmin(np.where(taken, np.inf, dist[i])))
+        taken[cells[i]] = True
+    return cells
+
+
 def _locate(scheme: str, fp: np.ndarray, b: np.ndarray, k: int,
             noise_variance: float, grid: GridModel, first: np.ndarray,
             second: np.ndarray, solver: str, ista_lambda: float | None,
@@ -331,8 +354,7 @@ def _locate(scheme: str, fp: np.ndarray, b: np.ndarray, k: int,
     if solver == "nnls":
         refined, fit = refine_off_grid(grid.centers_of(support), b, first,
                                        second, gain_model, grid)
-        # two refined positions may share a cell; the support then repeats it
-        support = grid.cell_of(refined)
+        support = _distinct_cells(grid, refined)
         diagnostics.update(refined_positions=refined, refine_nfev=fit.nfev)
     return LocalizationResult(positions=grid.centers_of(support),
                               support=support, scheme=scheme,

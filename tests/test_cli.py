@@ -1,9 +1,11 @@
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
 
+from vlp_sparse import evaluation
 from vlp_sparse.cli import main
 
 
@@ -97,7 +99,8 @@ def test_sweep_report_shape_and_manifest(tmp_path):
                     "--out-dir", str(tmp_path)])
     assert code == 0
     lines = read(tmp_path / "report.csv").decode().strip().splitlines()
-    assert lines[0] == "scheme,K,snr_db,L,trials,mean_error_m,std_error_m,success_rate"
+    assert lines[0] == ("scheme,K,snr_db,L,trials,mean_error_m,std_error_m,"
+                        "success_rate,failures")
     assert len(lines) == 1 + 2 * 1 * 3
     manifest = json.loads(read(tmp_path / "manifest.json"))
     assert manifest["sweep"]["k_list"] == [2, 4]
@@ -110,6 +113,22 @@ def test_sweep_report_shape_and_manifest(tmp_path):
     assert report["config"]["snapshots"] == 20
     assert {row["scheme"] for row in report["rows"]} \
         == {"csm", "cocsm", "rss_baseline"}
+
+
+def test_sweep_report_counts_failed_trials(tmp_path, monkeypatch):
+    def collinear(*args, **kwargs):
+        raise ValueError("anchor geometry is collinear")
+
+    monkeypatch.setattr(evaluation, "rss_baseline_locate", collinear)
+    code = run_cli(["sweep", "--K-list", "2", "--snr-list", "20",
+                    "--trials", "2", "--set", "snapshots=20", "--jobs", "1",
+                    "--out-dir", str(tmp_path)])
+    assert code == 1  # a report cell failed in every trial
+    with open(tmp_path / "report.csv", newline="") as fh:
+        rows = {row["scheme"]: row for row in csv.DictReader(fh)}
+    assert rows["rss_baseline"]["failures"] == "2"
+    assert rows["rss_baseline"]["mean_error_m"] == "nan"
+    assert rows["csm"]["failures"] == rows["cocsm"]["failures"] == "0"
 
 
 def test_sweep_rerun_from_manifest_is_byte_identical(tmp_path):

@@ -9,6 +9,7 @@ from vlp_sparse import (PdOptics, SceneConfig, aligned_estimates, build_scene,
                         cell_quantization_floor, gain_to_range,
                         gains_to_points, match_and_error, place_leds,
                         rss_baseline_locate, run_campaign, run_trial)
+from vlp_sparse import evaluation
 from vlp_sparse.evaluation import _trial_rng
 from vlp_sparse.scenario import LedAnchor
 
@@ -198,6 +199,21 @@ def test_trial_is_deterministic_per_seed():
         assert a[scheme].error_m == b[scheme].error_m
         assert a[scheme].exact_support == b[scheme].exact_support
         assert np.array_equal(a[scheme].est_positions, b[scheme].est_positions)
+
+
+def test_trial_keeps_the_failure_reason(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular design")
+
+    monkeypatch.setattr(evaluation, "rss_baseline_locate", singular)
+    cfg = SceneConfig(targets_k=2, snapshots=50, seed=6)
+    results = run_trial(cfg, _trial_rng(cfg.seed, 0, 0), snr_db=25.0,
+                        schemes=("csm", "rss_baseline", "bogus"))
+    baseline = results["rss_baseline"]
+    assert baseline.failed and math.isnan(baseline.error_m)
+    assert baseline.failure == "LinAlgError: singular design"
+    assert results["bogus"].failure == "ValueError: unknown scheme 'bogus'"
+    assert not results["csm"].failed and results["csm"].failure is None
 
 
 def test_trial_with_nnls_solver_is_deterministic():

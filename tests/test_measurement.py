@@ -8,6 +8,12 @@ from vlp_sparse import (DitherPlan, MeasurementVector, SceneConfig,
                         synthesize_ideal_power, synthesize_snapshot_correlation,
                         synthesize_snapshot_power)
 from vlp_sparse.channel import PairIndexMap
+from vlp_sparse.measurement import (_EXPLICIT_MAX_SNAPSHOTS, _dither_gram,
+                                    _explicit_second_moment,
+                                    _statistics_second_moment,
+                                    _wishart_identity)
+
+CROSSOVER = _EXPLICIT_MAX_SNAPSHOTS
 
 
 @pytest.fixture(scope="module")
@@ -149,19 +155,17 @@ def test_snapshot_correlation_converges_to_ideal(scene):
 
 
 def test_snapshot_correlation_matches_dense_accumulation(scene):
-    # selection through the pair map equals the dense symmetric estimate
+    # the explicit reference sampler equals the dense symmetric estimate
     gains = scene.gains[:, [10, 60, 200]]
     snaps = 256
     plan, seed = DitherPlan.from_seed(16), 17
-    meas = synthesize_snapshot_correlation(gains, 1e-12, snaps, plan,
-                                           np.random.default_rng(seed),
-                                           scene.pairs)
+    acc = _explicit_second_moment(gains, 1e-12, snaps, plan,
+                                  np.random.default_rng(seed))
     signs = plan.generator().integers(0, 2, size=(snaps, 3)) * 2.0 - 1.0
     noise = np.random.default_rng(seed).normal(0.0, np.sqrt(1e-12), (snaps, 16))
     samples = signs @ gains.T + noise
     dense = samples.T @ samples / snaps
-    np.testing.assert_allclose(
-        meas.values, dense[scene.pairs.first, scene.pairs.second], rtol=1e-12)
+    np.testing.assert_allclose(acc / snaps, dense, rtol=1e-12)
     np.testing.assert_allclose(dense, dense.T, rtol=0, atol=0)
 
 
@@ -188,6 +192,136 @@ def test_snapshot_synthesis_is_deterministic(scene):
                                       np.random.default_rng(21)).values
             for _ in range(2)]
     assert np.array_equal(runs[0], runs[1])
+
+
+def _sample_sums(sampler, gains, noise_variance, snapshots, draws, base):
+    """``draws`` independent (M, M) sums, seeds base, base + 1, ..."""
+    return np.stack([
+        sampler(gains, noise_variance, snapshots,
+                DitherPlan.from_seed(base + 2 * i),
+                np.random.default_rng(base + 2 * i + 1))
+        for i in range(draws)])
+
+
+def _z_scores(a, b):
+    """Two-sample z of the means of per-draw statistics (last axis: stat)."""
+    spread = np.sqrt(a.var(axis=0) / len(a) + b.var(axis=0) / len(b))
+    return np.abs(a.mean(axis=0) - b.mean(axis=0)) / spread
+
+
+def _moment_statistics(sums):
+    """Per draw: upper-triangle entries, their squared deviations, and the
+    product of the (0, 1) and (1, 2) deviations (a cross-entry covariance)."""
+    i, j = np.triu_indices(sums.shape[1])
+    entries = sums[:, i, j]
+    dev = entries - entries.mean(axis=0)
+    off = sums[:, 0, 1] - sums[:, 0, 1].mean()
+    off2 = sums[:, 1, 2] - sums[:, 1, 2].mean()
+    return np.column_stack([entries, dev ** 2, off * off2])
+
+
+@pytest.mark.parametrize("snapshots,k", [(2, 3), (4, 3), (7, 3), (50, 3),
+                                         (CROSSOVER + 1, 8)])
+def test_statistics_sampler_matches_explicit_distribution(snapshots, k):
+    # entrywise means and variances and one cross-entry covariance of the
+    # sum agree with the explicit reference within sampling error; L < K
+    # makes the dither Gram matrix singular, L = 4 leaves a Wishart
+    # remainder of fewer degrees of freedom than anchors
+    gains = np.random.default_rng(k).uniform(0.5, 1.5, size=(3, k))
+    draws = 4000
+    ref = _sample_sums(_explicit_second_moment, gains, 1.0, snapshots,
+                       draws, base=0)
+    new = _sample_sums(_statistics_second_moment, gains, 1.0, snapshots,
+                       draws, base=10 ** 6)
+    z = _z_scores(_moment_statistics(ref), _moment_statistics(new))
+    assert np.all(z < 4.5), z
+
+
+def test_statistics_sampler_detects_a_wrong_noise_level():
+    # the comparison above has the power to see a 10% noise-variance error
+    gains = np.random.default_rng(3).uniform(0.5, 1.5, size=(3, 3))
+    ref = _sample_sums(_explicit_second_moment, gains, 1.0, 50, 4000, base=0)
+    new = _sample_sums(_statistics_second_moment, gains, 1.1, 50, 4000,
+                       base=10 ** 6)
+    z = _z_scores(_moment_statistics(ref), _moment_statistics(new))
+    assert np.max(z) > 4.5
+
+
+@pytest.mark.parametrize("snapshots", [1, 64, 100, 128, 1000])
+def test_dither_gram_equals_unpacked_sign_products(snapshots):
+    plan = DitherPlan.from_seed(30)
+    words = -(-snapshots // 64)
+    packed = plan.generator().integers(0, 1 << 64, size=(4, words),
+                                       dtype=np.uint64)
+    bits = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")
+    signs = 2.0 * bits[:, :snapshots] - 1.0
+    np.testing.assert_array_equal(_dither_gram(plan, 4, snapshots),
+                                  signs @ signs.T)
+
+
+@pytest.mark.parametrize("dof", [0, 1, 2, 3, 10])
+def test_wishart_identity_moments(dof):
+    # E W = dof I, var W_ii = 2 dof, var W_ij = dof (i != j)
+    rng = np.random.default_rng(31)
+    draws = np.stack([_wishart_identity(dof, 3, rng) for _ in range(20000)])
+    np.testing.assert_allclose(draws.mean(axis=0), dof * np.eye(3),
+                               atol=0.1 * max(dof, 1))
+    expected_var = dof * (np.ones((3, 3)) + np.eye(3))
+    np.testing.assert_allclose(draws.var(axis=0), expected_var,
+                               atol=0.1 * max(dof, 1))
+    np.testing.assert_array_equal(draws, np.swapaxes(draws, 1, 2))
+
+
+@pytest.mark.parametrize("snapshots", [3, CROSSOVER, CROSSOVER + 1, 10 ** 4])
+@pytest.mark.parametrize("k", [1, 3])
+def test_snapshot_power_is_correlation_diagonal_bit_for_bit(scene, snapshots, k):
+    gains = scene.gains[:, 100:100 + k]
+    power = synthesize_snapshot_power(gains, 1e-12, snapshots,
+                                      DitherPlan.from_seed(32),
+                                      np.random.default_rng(33))
+    corr = synthesize_snapshot_correlation(gains, 1e-12, snapshots,
+                                           DitherPlan.from_seed(32),
+                                           np.random.default_rng(33),
+                                           scene.pairs)
+    np.testing.assert_array_equal(power.values,
+                                  corr.values[scene.pairs.diagonal_rows])
+
+
+@pytest.mark.parametrize("snapshots,sampler", [
+    (1, _explicit_second_moment), (37, _explicit_second_moment),
+    (CROSSOVER, _explicit_second_moment),
+    (CROSSOVER + 1, _statistics_second_moment)])
+def test_snapshot_correlation_picks_sampler_by_length(scene, snapshots, sampler):
+    # bit for bit: up to the crossover the explicit sampler, then statistics
+    gains = scene.gains[:, [10, 60, 200]]
+    meas = synthesize_snapshot_correlation(gains, 1e-12, snapshots,
+                                           DitherPlan.from_seed(34),
+                                           np.random.default_rng(35),
+                                           scene.pairs)
+    acc = sampler(gains, 1e-12, snapshots, DitherPlan.from_seed(34),
+                  np.random.default_rng(35))
+    np.testing.assert_array_equal(
+        meas.values, acc[scene.pairs.first, scene.pairs.second] / snapshots)
+
+
+@pytest.mark.parametrize("snapshots", [CROSSOVER + 1, 10 ** 6])
+def test_statistics_sampler_noiseless_single_target_exact(scene, snapshots):
+    gains = scene.gains[:, [123]]
+    meas = synthesize_snapshot_power(gains, 0.0, snapshots,
+                                     DitherPlan.from_seed(1),
+                                     np.random.default_rng(2))
+    np.testing.assert_allclose(meas.values, gains[:, 0] ** 2, rtol=1e-12)
+
+
+def test_statistics_sampler_noiseless_singular_gram_is_exact():
+    # L < K: the dither Gram matrix has rank at most L
+    gains = np.random.default_rng(36).uniform(0.5, 1.5, size=(3, 5))
+    plan = DitherPlan.from_seed(37)
+    gram = _dither_gram(plan, 5, 2)
+    assert np.linalg.matrix_rank(gram) <= 2
+    acc = _statistics_second_moment(gains, 0.0, 2, plan,
+                                    np.random.default_rng(38))
+    np.testing.assert_allclose(acc, gains @ gram @ gains.T, rtol=1e-12)
 
 
 def test_snapshot_synthesis_rejects_zero_snapshots(scene):

@@ -11,7 +11,8 @@ from vlp_sparse import (DitherPlan, MeasurementVector, SceneConfig,
                         synthesize_ideal_power,
                         synthesize_snapshot_correlation)
 from vlp_sparse.channel import PairIndexMap
-from vlp_sparse.recovery import largest_squared_singular_value
+from vlp_sparse import recovery
+from vlp_sparse.recovery import _distinct_cells, largest_squared_singular_value
 from vlp_sparse.scenario import GridModel
 
 
@@ -363,8 +364,44 @@ def test_locate_nnls_returns_k_cell_centers_off_grid(scene):
     assert np.allclose(loc.positions / pitch - 0.5,
                        np.round(loc.positions / pitch - 0.5), atol=1e-12)
     assert np.array_equal(loc.positions, scene.grid.centers_of(loc.support))
-    refined = loc.diagnostics["refined_positions"]
-    assert np.array_equal(scene.grid.cell_of(refined), loc.support)
+    # K distinct cells; a refined position alone in its cell keeps that cell
+    assert len(set(loc.support.tolist())) == 6
+    contained = scene.grid.cell_of(loc.diagnostics["refined_positions"])
+    alone = np.array([np.sum(contained == c) == 1 for c in contained])
+    assert np.array_equal(loc.support[alone], contained[alone])
+
+
+def test_distinct_cells_without_collision_are_containing_cells(scene):
+    xy = np.array([[0.11, 0.1], [1.01, 1.01], [3.9, 0.05]])
+    np.testing.assert_array_equal(_distinct_cells(scene.grid, xy),
+                                  scene.grid.cell_of(xy))
+
+
+def test_distinct_cells_resolve_a_collision(scene):
+    # two positions in cell 0: the one nearer its center keeps it, the other
+    # moves to the nearest free cell, (0.3, 0.1) rather than (0.1, 0.3)
+    xy = np.array([[0.15, 0.12], [1.01, 1.01], [0.11, 0.1]])
+    assert scene.grid.cell_of(xy).tolist() == [0, 105, 0]
+    assert _distinct_cells(scene.grid, xy).tolist() == [1, 105, 0]
+    three = np.array([[0.19, 0.11], [0.1, 0.1], [0.11, 0.19]])
+    assert _distinct_cells(scene.grid, three).tolist() == [1, 0, 20]
+
+
+def test_locate_nnls_support_is_distinct_when_refined_positions_collide(
+        scene, monkeypatch):
+    collided = np.array([[2.05, 2.05], [2.07, 2.02], [0.5, 0.5]])
+
+    def refine(xy, *args):
+        return collided, type("Fit", (), {"nfev": 1})()
+
+    monkeypatch.setattr(recovery, "refine_off_grid", refine)
+    ind = indicator_from_cells([0, 50, 300], scene.grid.n)
+    meas = synthesize_ideal_correlation(scene.corr_fp, ind, 0.0, scene.pairs)
+    loc = locate_cocsm(meas, scene.corr_fp, 3, 0.0, scene.grid, scene.pairs,
+                       solver="nnls", gain_model=scene.gain_model)
+    assert len(set(loc.support.tolist())) == 3
+    assert scene.grid.cell_of(collided[[0]])[0] in loc.support
+    assert np.array_equal(loc.positions, scene.grid.centers_of(loc.support))
 
 
 def test_locate_nnls_single_target_matches_omp(scene):
