@@ -28,8 +28,10 @@ from .channel import (GainModel, PairIndexMap,
                       build_correlation_fingerprint, build_gain_matrix,
                       build_power_fingerprint, gains_to_points,
                       lambertian_order, led_positions)
-from .measurement import (DitherPlan, MeasurementVector, indicator_from_cells,
-                          remove_noise_floor, synthesize_snapshot_correlation,
+from .measurement import (POWER, DitherPlan, MeasurementVector,
+                          indicator_from_cells, remove_noise_floor,
+                          synthesize_single_target_powers,
+                          synthesize_snapshot_correlation,
                           synthesize_snapshot_power)
 from .recovery import locate_cocsm, locate_csm
 from .scenario import (SCHEMES, GridModel, LedAnchor, SceneConfig, TargetSet,
@@ -154,29 +156,40 @@ def gain_to_range(gain, vertical_gap, pd, m: float):
 
 def rss_baseline_locate(rss, leds, pd, m: float,
                         receiver_height: float) -> np.ndarray:
-    """Per-target lateration from one target's per-anchor received powers.
+    """Per-target lateration from per-anchor received powers.
 
-    ``rss`` holds noise-floor-removed squared gains (one per anchor); anchors
-    with nonpositive entries are unusable.  Needs at least three usable,
-    non-collinear anchors.
+    ``rss`` holds noise-floor-removed squared gains, (M,) for one target or
+    (M, K) with one column per target; anchors with nonpositive entries are
+    unusable.  Every target needs at least three usable, non-collinear
+    anchors.  Targets with the same usable anchors share one least-squares
+    solve.  Returns (2,) or (K, 2) positions.
     """
-    rss = np.asarray(rss, dtype=float).ravel()
-    anchors = led_positions(leds)
-    usable = rss > 0
-    if int(usable.sum()) < 3:
+    rss = np.asarray(rss, dtype=float)
+    columns = rss.reshape(rss.shape[0], -1)
+    usable = columns > 0
+    if np.any(usable.sum(axis=0) < 3):
         raise ValueError("fewer than 3 anchors with positive RSS")
-    pos = anchors[usable]
-    vertical_gap = pos[:, 2] - receiver_height
-    dist = gain_to_range(np.sqrt(rss[usable]), vertical_gap, pd, m)
-    range_sq = np.maximum(dist * dist - vertical_gap * vertical_gap, 0.0)
-    i, j = np.triu_indices(pos.shape[0], k=1)
-    design = 2.0 * (pos[i, :2] - pos[j, :2])
-    anchor_sq = pos[:, 0] ** 2 + pos[:, 1] ** 2
-    rhs = (anchor_sq[i] - range_sq[i]) - (anchor_sq[j] - range_sq[j])
-    solution, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
-    if rank < 2:
-        raise ValueError("anchor geometry is collinear")
-    return solution
+    anchors = led_positions(leds)
+    positions = np.empty((columns.shape[1], 2))
+    groups: dict[bytes, list[int]] = {}
+    for t, column in enumerate(usable.T):
+        groups.setdefault(column.tobytes(), []).append(t)
+    for targets in groups.values():
+        mask = usable[:, targets[0]]
+        pos = anchors[mask]
+        vertical_gap = (pos[:, 2] - receiver_height)[:, None]
+        dist = gain_to_range(np.sqrt(columns[mask][:, targets]), vertical_gap,
+                             pd, m)
+        range_sq = np.maximum(dist * dist - vertical_gap * vertical_gap, 0.0)
+        i, j = np.triu_indices(pos.shape[0], k=1)
+        design = 2.0 * (pos[i, :2] - pos[j, :2])
+        anchor_sq = (pos[:, 0] ** 2 + pos[:, 1] ** 2)[:, None]
+        rhs = (anchor_sq[i] - range_sq[i]) - (anchor_sq[j] - range_sq[j])
+        solution, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
+        if rank < 2:
+            raise ValueError("anchor geometry is collinear")
+        positions[targets] = solution.T
+    return positions if rss.ndim > 1 else positions[0]
 
 
 def _realized_snr_db(mean_signal: float, noise_variance: float) -> float:
@@ -185,22 +198,32 @@ def _realized_snr_db(mean_signal: float, noise_variance: float) -> float:
     return 10.0 * math.log10(mean_signal / noise_variance)
 
 
+def _synthesize_cs(schemes, scene: Scene, config: SceneConfig,
+                   target_gains: np.ndarray, noise_variance: float,
+                   dither_seed: int, noise_seed: int) -> dict:
+    """csm and cocsm measurements from one draw of the snapshot sum.
+
+    Power is bit for bit the correlation diagonal for the same seeds, so when
+    both schemes run, csm reads the diagonal rows of the cocsm measurement.
+    """
+    args = (target_gains, noise_variance, config.snapshots,
+            DitherPlan.from_seed(dither_seed),
+            np.random.default_rng(noise_seed))
+    if "cocsm" not in schemes:
+        return {"csm": synthesize_snapshot_power(*args)}
+    corr = synthesize_snapshot_correlation(*args, scene.pairs)
+    power = MeasurementVector(corr.values[scene.pairs.diagonal_rows], POWER,
+                              noise_variance, config.snapshots)
+    return {"csm": power, "cocsm": corr}
+
+
 def _locate_cs(scheme: str, scene: Scene, config: SceneConfig, k: int,
-               target_gains: np.ndarray, noise_variance: float,
-               dither_seed: int, noise_seed: int):
-    dither = DitherPlan.from_seed(dither_seed)
-    noise_rng = np.random.default_rng(noise_seed)
+               meas: MeasurementVector, noise_variance: float):
+    start = time.perf_counter()
     if scheme == "csm":
-        meas = synthesize_snapshot_power(target_gains, noise_variance,
-                                         config.snapshots, dither, noise_rng)
-        start = time.perf_counter()
         loc = locate_csm(meas, scene.power_fp, k, noise_variance, scene.grid,
                          solver=config.solver, gain_model=scene.gain_model)
     else:
-        meas = synthesize_snapshot_correlation(target_gains, noise_variance,
-                                               config.snapshots, dither,
-                                               noise_rng, scene.pairs)
-        start = time.perf_counter()
         loc = locate_cocsm(meas, scene.corr_fp, k, noise_variance, scene.grid,
                            scene.pairs, solver=config.solver,
                            gain_model=scene.gain_model)
@@ -208,24 +231,20 @@ def _locate_cs(scheme: str, scene: Scene, config: SceneConfig, k: int,
     return loc.positions, loc.support, runtime, meas
 
 
-def _locate_baseline(scene: Scene, config: SceneConfig, k: int,
+def _locate_baseline(scene: Scene, config: SceneConfig,
                      target_gains: np.ndarray, noise_variance: float,
                      rss_rng: np.random.Generator):
-    positions = np.empty((k, 2))
-    runtime = 0.0
-    measurements = []
-    for t in range(k):
-        dither_seed, noise_seed = (int(s) for s in rss_rng.integers(0, 2 ** 63, size=2))
-        meas = synthesize_snapshot_power(target_gains[:, [t]], noise_variance,
-                                         config.snapshots,
-                                         DitherPlan.from_seed(dither_seed),
-                                         np.random.default_rng(noise_seed))
-        rss = remove_noise_floor(meas, noise_variance).values
-        start = time.perf_counter()
-        positions[t] = rss_baseline_locate(rss, scene.leds, config.pd, scene.m,
-                                           config.receiver_height)
-        runtime += time.perf_counter() - start
-        measurements.append(meas)
+    powers = synthesize_single_target_powers(target_gains, noise_variance,
+                                             config.snapshots, rss_rng)
+    measurements = [MeasurementVector(column, POWER, noise_variance,
+                                      config.snapshots) for column in powers.T]
+    rss = remove_noise_floor(
+        MeasurementVector(powers, POWER, noise_variance, config.snapshots),
+        noise_variance).values
+    start = time.perf_counter()
+    positions = rss_baseline_locate(rss, scene.leds, config.pd, scene.m,
+                                    config.receiver_height)
+    runtime = time.perf_counter() - start
     support = np.sort(scene.grid.cell_of(positions))
     return positions, support, runtime, measurements
 
@@ -256,15 +275,19 @@ def run_trial(config: SceneConfig, rng: np.random.Generator,
     target_gains = gains_to_points(scene.leds, points, config.pd, scene.m)
 
     results: dict[str, TrialResult] = {}
+    cs_meas = None
     for scheme in schemes:
         try:
             if scheme in ("csm", "cocsm"):
+                if cs_meas is None:
+                    cs_meas = _synthesize_cs(schemes, scene, config,
+                                             target_gains, noise_variance,
+                                             seeds[1], seeds[2])
                 est, support, runtime, meas = _locate_cs(
-                    scheme, scene, config, k, target_gains, noise_variance,
-                    seeds[1], seeds[2])
+                    scheme, scene, config, k, cs_meas[scheme], noise_variance)
             elif scheme == "rss_baseline":
                 est, support, runtime, meas = _locate_baseline(
-                    scene, config, k, target_gains, noise_variance,
+                    scene, config, target_gains, noise_variance,
                     np.random.default_rng(seeds[3]))
             else:
                 raise ValueError(f"unknown scheme '{scheme}'")
@@ -293,10 +316,18 @@ def _trial_rng(seed: int, cell_idx: int, trial: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(cell_idx, trial)))
 
 
-def _run_cell(args) -> list[dict[str, TrialResult]]:
+_worker_scene: Scene | None = None  # a pool worker's scene, set once
+
+
+def _init_worker(scene: Scene) -> None:
+    global _worker_scene
+    _worker_scene = scene
+
+
+def _run_cell(args, scene: Scene | None = None) -> list[dict[str, TrialResult]]:
     config, cell_idx, k, snr_db, trials, schemes = args
     cell_config = dataclasses.replace(config, targets_k=k)
-    scene = build_scene(cell_config)
+    scene = scene if scene is not None else _worker_scene
     return [run_trial(cell_config, _trial_rng(config.seed, cell_idx, t),
                       scene=scene, snr_db=snr_db, schemes=schemes)
             for t in range(trials)]
@@ -308,7 +339,9 @@ def run_campaign(config: SceneConfig, k_list, snr_list, trials: int,
 
     Per-trial substreams depend only on (seed, cell index, trial index), so
     the report is identical for any ``jobs``.  Solver failures inside a trial
-    are counted and excluded from the error statistics.
+    are counted and excluded from the error statistics.  The scene depends on
+    neither K nor SNR, so it is built once and handed to each pool worker
+    when the worker starts, not with every cell.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -318,11 +351,13 @@ def run_campaign(config: SceneConfig, k_list, snr_list, trials: int,
     cells = [(k, snr) for k in k_list for snr in snr_list]
     tasks = [(config, idx, k, snr, trials, schemes)
              for idx, (k, snr) in enumerate(cells)]
+    scene = build_scene(config)
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=(scene,)) as pool:
             cell_results = list(pool.map(_run_cell, tasks))
     else:
-        cell_results = [_run_cell(task) for task in tasks]
+        cell_results = [_run_cell(task, scene) for task in tasks]
 
     rows: list[dict] = []
     records: dict = {}

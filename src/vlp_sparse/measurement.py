@@ -226,6 +226,32 @@ def synthesize_snapshot_correlation(target_gains: np.ndarray, noise_variance: fl
     return MeasurementVector(values, CORRELATION, noise_variance, snapshots)
 
 
+def synthesize_single_target_powers(target_gains: np.ndarray,
+                                    noise_variance: float, snapshots: int,
+                                    rng: np.random.Generator) -> np.ndarray:
+    """(M, K) per-anchor powers, each target measured alone over L snapshots.
+
+    With one target the dither drops out (``s_l^2 = 1``), so at anchor i
+    ``sum_l y_li^2 = sum_l (g_i + v_l)^2`` with ``v_l`` i.i.d. N(0, sigma^2).
+    Splitting ``v`` along the unit vector ``1 / sqrt(L)`` and its orthogonal
+    complement gives ``(sqrt(L) g_i + z_i)^2 + sigma^2 chi^2(L - 1)`` with
+    ``z_i ~ N(0, sigma^2)``, exact for every L >= 1 (``chi^2(0) = 0``) and
+    independent across anchors and targets; ``chi^2(n)`` is drawn as
+    ``2 Gamma(n / 2)``, which also covers n = 0.  Every target keeps its own
+    L-snapshot budget, so K targets spend K L snapshots in all.  Same law as
+    :func:`synthesize_snapshot_power` on one target's gains, not the same draws.
+    """
+    if snapshots < 1:
+        raise ValueError("snapshot synthesis needs snapshots >= 1")
+    gains = np.asarray(target_gains, dtype=float)
+    if noise_variance <= 0.0:
+        return gains * gains
+    root = np.sqrt(snapshots) * gains
+    root += rng.normal(0.0, float(np.sqrt(noise_variance)), size=root.shape)
+    rest = 2.0 * rng.standard_gamma((snapshots - 1) / 2.0, size=root.shape)
+    return (root * root + noise_variance * rest) / snapshots
+
+
 def remove_noise_floor(meas: MeasurementVector, noise_variance: float,
                        pairs: PairIndexMap | None = None) -> MeasurementVector:
     """Subtract the calibrated noise floor, clamping at zero.

@@ -93,6 +93,15 @@ def test_simulate_dumps_measurement_vector(tmp_path):
     assert lines[1].startswith("power,")
 
 
+def test_simulate_baseline_dumps_one_power_vector_per_target(tmp_path):
+    assert run_cli(["simulate", "--K", "3", "--scheme", "rss_baseline",
+                    "--dump-measurements", "--out-dir", str(tmp_path)]) == 0
+    lines = read(tmp_path / "measurements.csv").decode().strip().splitlines()
+    assert len(lines[0].split(",")) == 3 + 16
+    assert len(lines) == 1 + 3
+    assert all(line.startswith("power,") for line in lines[1:])
+
+
 def test_sweep_report_shape_and_manifest(tmp_path):
     code = run_cli(["sweep", "--K-list", "2,4", "--snr-list", "20",
                     "--trials", "2", "--set", "snapshots=20",

@@ -181,6 +181,80 @@ def test_baseline_rejects_collinear_anchors():
         rss_baseline_locate(gains ** 2, line, PD, 1.0, 0.85)
 
 
+def _batch_rss(leds):
+    """Noisy squared gains of six targets with four different usable masks."""
+    pts = np.array([[0.4, 0.4, 0.85], [3.5, 0.7, 0.85], [2.0, 2.0, 0.85],
+                    [1.1, 3.3, 0.85], [2.9, 2.6, 0.85], [0.8, 1.9, 0.85]])
+    rss = gains_to_points(leds, pts, PD, 1.0) ** 2
+    rss *= np.random.default_rng(42).uniform(0.98, 1.02, rss.shape)
+    rss[[0, 5, 9], 1] = 0.0
+    rss[[3, 4], 2] = 0.0
+    rss[[3, 4], 4] = 0.0
+    rss[:, 5] = np.where(np.arange(16) % 2 == 0, rss[:, 5], 0.0)
+    return pts, rss
+
+
+def test_baseline_batch_equals_column_by_column():
+    leds = place_leds(SceneConfig())
+    _, rss = _batch_rss(leds)
+    batch = rss_baseline_locate(rss, leds, PD, 1.0, 0.85)
+    assert batch.shape == (6, 2)
+    for t in range(6):
+        single = rss_baseline_locate(rss[:, t], leds, PD, 1.0, 0.85)
+        assert single.shape == (2,)
+        np.testing.assert_allclose(batch[t], single, rtol=0, atol=1e-12)
+
+
+def test_baseline_batch_recovers_noiseless_targets():
+    leds = place_leds(SceneConfig())
+    pts, _ = _batch_rss(leds)
+    rss = gains_to_points(leds, pts, PD, 1.0) ** 2
+    rss[[0, 5, 9], 1] = 0.0
+    est = rss_baseline_locate(rss, leds, PD, 1.0, 0.85)
+    assert np.max(np.linalg.norm(est - pts[:, :2], axis=1)) < 1e-6
+
+
+def test_baseline_batch_fails_whole_call_on_one_short_column():
+    leds = place_leds(SceneConfig())
+    _, rss = _batch_rss(leds)
+    rss[2:, 3] = 0.0
+    with pytest.raises(ValueError, match="fewer than 3 anchors with positive RSS"):
+        rss_baseline_locate(rss, leds, PD, 1.0, 0.85)
+
+
+def test_trial_noiseless_multi_target_baseline_is_exact():
+    cfg = SceneConfig(targets_k=6, noise_variance=0.0, snapshots=100, seed=13)
+    results = run_trial(cfg, _trial_rng(cfg.seed, 0, 0),
+                        schemes=("rss_baseline",))
+    baseline = results["rss_baseline"]
+    assert baseline.error_m < 1e-6
+    assert len(baseline.measurement) == 6
+    assert all(m.model == "power" and m.values.shape == (16,)
+               for m in baseline.measurement)
+
+
+def test_trial_csm_alone_equals_csm_beside_cocsm(monkeypatch):
+    # with cocsm present, csm reads the correlation diagonal of one draw
+    calls = []
+
+    def counting(name):
+        fn = getattr(evaluation, name)
+        monkeypatch.setattr(evaluation, name,
+                            lambda *a: calls.append(name) or fn(*a))
+
+    counting("synthesize_snapshot_power")
+    counting("synthesize_snapshot_correlation")
+    cfg = SceneConfig(targets_k=4, snapshots=300, seed=14)
+    both = run_trial(cfg, _trial_rng(cfg.seed, 0, 0), snr_db=20.0)
+    assert calls == ["synthesize_snapshot_correlation"]
+    alone = run_trial(cfg, _trial_rng(cfg.seed, 0, 0), snr_db=20.0,
+                      schemes=("csm",))
+    assert calls[1:] == ["synthesize_snapshot_power"]
+    np.testing.assert_array_equal(both["csm"].measurement.values,
+                                  alone["csm"].measurement.values)
+    assert both["csm"].error_m == alone["csm"].error_m
+
+
 def test_trial_on_grid_noiseless_single_target_is_exact():
     cfg = SceneConfig(targets_k=1, on_grid=True, noise_variance=0.0,
                       snapshots=10, seed=5)
@@ -274,6 +348,21 @@ def test_campaign_rows_independent_of_jobs():
     r1 = run_campaign(cfg, [2, 4], [18.0], trials=3, jobs=1)
     r2 = run_campaign(cfg, [2, 4], [18.0], trials=3, jobs=2)
     assert r1.rows == r2.rows
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_campaign_builds_one_scene(monkeypatch, jobs):
+    calls = []
+
+    def counting_build_scene(config):
+        calls.append(config)
+        return build_scene(config)
+
+    monkeypatch.setattr(evaluation, "build_scene", counting_build_scene)
+    cfg = SceneConfig(snapshots=20, seed=15)
+    report = run_campaign(cfg, [2, 3], [10.0, 20.0], trials=1, jobs=jobs)
+    assert len(calls) == 1
+    assert all(row["failures"] == 0 for row in report.rows)
 
 
 def test_campaign_row_order_and_counts():

@@ -5,7 +5,9 @@ from vlp_sparse import (DitherPlan, MeasurementVector, SceneConfig,
                         build_scene, gains_to_points, indicator_from_cells,
                         indicator_from_targets, remove_noise_floor,
                         sample_targets, synthesize_ideal_correlation,
-                        synthesize_ideal_power, synthesize_snapshot_correlation,
+                        synthesize_ideal_power,
+                        synthesize_single_target_powers,
+                        synthesize_snapshot_correlation,
                         synthesize_snapshot_power)
 from vlp_sparse.channel import PairIndexMap
 from vlp_sparse.measurement import (_EXPLICIT_MAX_SNAPSHOTS, _dither_gram,
@@ -324,11 +326,84 @@ def test_statistics_sampler_noiseless_singular_gram_is_exact():
     np.testing.assert_allclose(acc, gains @ gram @ gains.T, rtol=1e-12)
 
 
+def _single_target_statistics(powers):
+    """Per draw (rows): each anchor's power, its squared deviation, and the
+    product of the two anchors' deviations (the cross-anchor covariance)."""
+    dev = powers - powers.mean(axis=0)
+    return np.column_stack([powers, dev ** 2, dev[:, 0] * dev[:, 1]])
+
+
+def _explicit_single_target_powers(gains, noise_variance, snapshots, draws):
+    return np.stack([
+        np.diagonal(_explicit_second_moment(
+            gains, noise_variance, snapshots, DitherPlan.from_seed(2 * i),
+            np.random.default_rng(2 * i + 1))) / snapshots
+        for i in range(draws)])
+
+
+# a weak and a strong anchor, sigma^2 = 1
+SINGLE_TARGET_GAINS = np.array([[0.3], [2.0]])
+
+
+@pytest.mark.parametrize("snapshots", [1, 2, 7, 100, CROSSOVER])
+def test_single_target_powers_match_explicit_distribution(snapshots):
+    # per-anchor means and variances and the cross-anchor covariance of the
+    # closed form agree with the explicit sampler's diagonal at K = 1; the
+    # columns of one call are independent draws
+    draws = 4000
+    ref = _explicit_single_target_powers(SINGLE_TARGET_GAINS, 1.0, snapshots,
+                                         draws)
+    new = synthesize_single_target_powers(
+        np.tile(SINGLE_TARGET_GAINS, draws), 1.0, snapshots,
+        np.random.default_rng(10 ** 6)).T
+    z = _z_scores(_single_target_statistics(ref),
+                  _single_target_statistics(new))
+    assert np.all(z < 4.5), z
+
+
+def test_single_target_powers_match_analytic_moments_at_large_l():
+    # mean g^2 + sigma^2 and variance (4 g^2 sigma^2 + 2 sigma^4) / L
+    snapshots, draws, s2 = 10 ** 4, 4000, 1.0
+    g2 = SINGLE_TARGET_GAINS[:, 0] ** 2
+    powers = synthesize_single_target_powers(
+        np.tile(SINGLE_TARGET_GAINS, draws), s2, snapshots,
+        np.random.default_rng(40)).T
+    variance = (4.0 * g2 * s2 + 2.0 * s2 ** 2) / snapshots
+    z_mean = np.abs(powers.mean(axis=0) - (g2 + s2)) / np.sqrt(variance / draws)
+    dev2 = (powers - (g2 + s2)) ** 2
+    z_var = np.abs(dev2.mean(axis=0) - variance) / (dev2.std(axis=0)
+                                                     / np.sqrt(draws))
+    assert np.all(z_mean < 4.5) and np.all(z_var < 4.5), (z_mean, z_var)
+
+
+def test_single_target_powers_comparison_detects_a_wrong_noise_level():
+    # the comparison above has the power to see a 10% noise-variance error
+    draws = 4000
+    ref = _explicit_single_target_powers(SINGLE_TARGET_GAINS, 1.0, 7, draws)
+    new = synthesize_single_target_powers(
+        np.tile(SINGLE_TARGET_GAINS, draws), 1.1, 7,
+        np.random.default_rng(10 ** 6)).T
+    z = _z_scores(_single_target_statistics(ref),
+                  _single_target_statistics(new))
+    assert np.max(z) > 4.5
+
+
+@pytest.mark.parametrize("snapshots", [1, 7, 10 ** 4])
+def test_single_target_powers_noiseless_exact(scene, snapshots):
+    gains = scene.gains[:, [5, 123, 399]]
+    powers = synthesize_single_target_powers(gains, 0.0, snapshots,
+                                             np.random.default_rng(41))
+    np.testing.assert_array_equal(powers, gains ** 2)
+
+
 def test_snapshot_synthesis_rejects_zero_snapshots(scene):
     with pytest.raises(ValueError):
         synthesize_snapshot_power(scene.gains[:, [0]], 0.0, 0,
                                   DitherPlan.from_seed(0),
                                   np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        synthesize_single_target_powers(scene.gains[:, [0]], 1e-12, 0,
+                                        np.random.default_rng(0))
 
 
 def test_dither_signs_are_unbiased_and_independent():
