@@ -21,7 +21,6 @@ from .measurement import (CORRELATION, POWER, DitherPlan, MeasurementVector,
                           indicator_from_cells, indicator_from_targets,
                           remove_noise_floor, synthesize_ideal_correlation,
                           synthesize_ideal_power,
-                          synthesize_single_target_powers,
                           synthesize_snapshot_correlation,
                           synthesize_snapshot_power)
 from .recovery import (LocalizationResult, RecoveryAdvisory, SparseSolution,

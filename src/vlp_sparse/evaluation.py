@@ -31,8 +31,9 @@ from .channel import (GainModel, PairIndexMap,
 from .measurement import (POWER, DitherPlan, MeasurementVector,
                           indicator_from_cells, remove_noise_floor,
                           synthesize_single_target_powers,
-                          synthesize_snapshot_correlation,
-                          synthesize_snapshot_power)
+                          synthesize_snapshot_correlation)
+# unused here, but perfbench/spans.py times the power synthesis under this name
+from .measurement import synthesize_snapshot_power  # noqa: F401
 from .recovery import locate_cocsm, locate_csm
 from .scenario import (SCHEMES, GridModel, LedAnchor, SceneConfig, TargetSet,
                        build_grid, place_leds, sample_targets,
@@ -198,20 +199,18 @@ def _realized_snr_db(mean_signal: float, noise_variance: float) -> float:
     return 10.0 * math.log10(mean_signal / noise_variance)
 
 
-def _synthesize_cs(schemes, scene: Scene, config: SceneConfig,
+def _synthesize_cs(scene: Scene, config: SceneConfig,
                    target_gains: np.ndarray, noise_variance: float,
                    dither_seed: int, noise_seed: int) -> dict:
     """csm and cocsm measurements from one draw of the snapshot sum.
 
-    Power is bit for bit the correlation diagonal for the same seeds, so when
-    both schemes run, csm reads the diagonal rows of the cocsm measurement.
+    Power is bit for bit the correlation diagonal for the same seeds, so csm
+    reads the diagonal rows of the cocsm measurement.
     """
-    args = (target_gains, noise_variance, config.snapshots,
-            DitherPlan.from_seed(dither_seed),
-            np.random.default_rng(noise_seed))
-    if "cocsm" not in schemes:
-        return {"csm": synthesize_snapshot_power(*args)}
-    corr = synthesize_snapshot_correlation(*args, scene.pairs)
+    corr = synthesize_snapshot_correlation(
+        target_gains, noise_variance, config.snapshots,
+        DitherPlan.from_seed(dither_seed), np.random.default_rng(noise_seed),
+        scene.pairs)
     power = MeasurementVector(corr.values[scene.pairs.diagonal_rows], POWER,
                               noise_variance, config.snapshots)
     return {"csm": power, "cocsm": corr}
@@ -280,9 +279,9 @@ def run_trial(config: SceneConfig, rng: np.random.Generator,
         try:
             if scheme in ("csm", "cocsm"):
                 if cs_meas is None:
-                    cs_meas = _synthesize_cs(schemes, scene, config,
-                                             target_gains, noise_variance,
-                                             seeds[1], seeds[2])
+                    cs_meas = _synthesize_cs(scene, config, target_gains,
+                                             noise_variance, seeds[1],
+                                             seeds[2])
                 est, support, runtime, meas = _locate_cs(
                     scheme, scene, config, k, cs_meas[scheme], noise_variance)
             elif scheme == "rss_baseline":
@@ -316,20 +315,21 @@ def _trial_rng(seed: int, cell_idx: int, trial: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(cell_idx, trial)))
 
 
-_worker_scene: Scene | None = None  # a pool worker's scene, set once
+_worker_scene: Scene | None = None  # set per pool worker or per serial run
 
 
-def _init_worker(scene: Scene) -> None:
+def _init_worker(scene: Scene | None) -> None:
     global _worker_scene
     _worker_scene = scene
 
 
-def _run_cell(args, scene: Scene | None = None) -> list[dict[str, TrialResult]]:
+def _run_cell(args) -> list[dict[str, TrialResult]]:
     config, cell_idx, k, snr_db, trials, schemes = args
+    if _worker_scene is None:
+        raise RuntimeError("no scene: call _init_worker before _run_cell")
     cell_config = dataclasses.replace(config, targets_k=k)
-    scene = scene if scene is not None else _worker_scene
     return [run_trial(cell_config, _trial_rng(config.seed, cell_idx, t),
-                      scene=scene, snr_db=snr_db, schemes=schemes)
+                      scene=_worker_scene, snr_db=snr_db, schemes=schemes)
             for t in range(trials)]
 
 
@@ -357,7 +357,11 @@ def run_campaign(config: SceneConfig, k_list, snr_list, trials: int,
                                  initargs=(scene,)) as pool:
             cell_results = list(pool.map(_run_cell, tasks))
     else:
-        cell_results = [_run_cell(task, scene) for task in tasks]
+        _init_worker(scene)
+        try:
+            cell_results = [_run_cell(task) for task in tasks]
+        finally:
+            _init_worker(None)
 
     rows: list[dict] = []
     records: dict = {}

@@ -9,7 +9,7 @@ from vlp_sparse import (PdOptics, SceneConfig, aligned_estimates, build_scene,
                         cell_quantization_floor, gain_to_range,
                         gains_to_points, match_and_error, place_leds,
                         rss_baseline_locate, run_campaign, run_trial)
-from vlp_sparse import evaluation
+from vlp_sparse import evaluation, measurement
 from vlp_sparse.evaluation import _trial_rng
 from vlp_sparse.scenario import LedAnchor
 
@@ -234,22 +234,17 @@ def test_trial_noiseless_multi_target_baseline_is_exact():
 
 
 def test_trial_csm_alone_equals_csm_beside_cocsm(monkeypatch):
-    # with cocsm present, csm reads the correlation diagonal of one draw
-    calls = []
-
-    def counting(name):
-        fn = getattr(evaluation, name)
-        monkeypatch.setattr(evaluation, name,
-                            lambda *a: calls.append(name) or fn(*a))
-
-    counting("synthesize_snapshot_power")
-    counting("synthesize_snapshot_correlation")
+    # csm reads the correlation diagonal of the trial's one snapshot-sum draw
+    draws = []
+    second_moment = measurement._second_moment
+    monkeypatch.setattr(measurement, "_second_moment",
+                        lambda *a: draws.append(a) or second_moment(*a))
     cfg = SceneConfig(targets_k=4, snapshots=300, seed=14)
     both = run_trial(cfg, _trial_rng(cfg.seed, 0, 0), snr_db=20.0)
-    assert calls == ["synthesize_snapshot_correlation"]
+    assert len(draws) == 1
     alone = run_trial(cfg, _trial_rng(cfg.seed, 0, 0), snr_db=20.0,
                       schemes=("csm",))
-    assert calls[1:] == ["synthesize_snapshot_power"]
+    assert len(draws) == 2
     np.testing.assert_array_equal(both["csm"].measurement.values,
                                   alone["csm"].measurement.values)
     assert both["csm"].error_m == alone["csm"].error_m
@@ -351,18 +346,28 @@ def test_campaign_rows_independent_of_jobs():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_campaign_builds_one_scene(monkeypatch, jobs):
-    calls = []
+def test_campaign_builds_one_scene(monkeypatch, tmp_path, jobs):
+    # a file, not a list, so calls made in forked pool workers count too
+    log = tmp_path / "build_scene.log"
 
     def counting_build_scene(config):
-        calls.append(config)
+        with open(log, "a") as f:
+            f.write("call\n")
         return build_scene(config)
 
     monkeypatch.setattr(evaluation, "build_scene", counting_build_scene)
     cfg = SceneConfig(snapshots=20, seed=15)
     report = run_campaign(cfg, [2, 3], [10.0, 20.0], trials=1, jobs=jobs)
-    assert len(calls) == 1
+    assert log.read_text().count("call") == 1
     assert all(row["failures"] == 0 for row in report.rows)
+
+
+def test_serial_campaign_releases_its_scene():
+    # a scene left behind would be inherited by the next campaign's workers
+    cfg = SceneConfig(snapshots=20, seed=15)
+    run_campaign(cfg, [2], [10.0], trials=1, jobs=1)
+    with pytest.raises(RuntimeError, match="no scene"):
+        evaluation._run_cell((cfg, 0, 2, 10.0, 1, ("csm",)))
 
 
 def test_campaign_row_order_and_counts():

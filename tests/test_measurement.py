@@ -6,14 +6,14 @@ from vlp_sparse import (DitherPlan, MeasurementVector, SceneConfig,
                         indicator_from_targets, remove_noise_floor,
                         sample_targets, synthesize_ideal_correlation,
                         synthesize_ideal_power,
-                        synthesize_single_target_powers,
                         synthesize_snapshot_correlation,
                         synthesize_snapshot_power)
 from vlp_sparse.channel import PairIndexMap
 from vlp_sparse.measurement import (_EXPLICIT_MAX_SNAPSHOTS, _dither_gram,
                                     _explicit_second_moment,
                                     _statistics_second_moment,
-                                    _wishart_identity)
+                                    _wishart_identity,
+                                    synthesize_single_target_powers)
 
 CROSSOVER = _EXPLICIT_MAX_SNAPSHOTS
 
