@@ -9,24 +9,22 @@ schemes against a conventional per-target RSS-lateration baseline.
 __version__ = "0.1.0"
 
 from .channel import (GainModel, PairIndexMap, build_correlation_fingerprint,
-                      build_gain_matrix, build_power_fingerprint, channel_gain,
-                      effective_area, gains_to_points, lambertian_order,
-                      radiant_intensity)
+                      build_gain_matrix, effective_area, gains_to_points,
+                      lambertian_order, radiant_intensity)
 from .evaluation import (CampaignReport, Scene, TrialResult,
                          aligned_estimates, build_scene,
                          cell_quantization_floor, gain_to_range,
                          match_and_error, rss_baseline_locate, run_campaign,
                          run_trial)
 from .measurement import (CORRELATION, POWER, DitherPlan, MeasurementVector,
-                          indicator_from_cells, indicator_from_targets,
-                          remove_noise_floor, synthesize_ideal_correlation,
-                          synthesize_ideal_power,
+                          indicator_from_cells, remove_noise_floor,
+                          synthesize_ideal_correlation, synthesize_ideal_power,
                           synthesize_snapshot_correlation,
                           synthesize_snapshot_power)
 from .recovery import (LocalizationResult, RecoveryAdvisory, SparseSolution,
-                       brute_force_support, ista_lasso, locate_cocsm,
-                       locate_csm, nnls_top_k, omp, recoverability_advisory,
-                       refine_off_grid, unknown_k_threshold)
+                       brute_force_support, locate_cocsm, locate_csm,
+                       nnls_top_k, omp, recoverability_advisory,
+                       refine_off_grid)
 from .scenario import (SCHEMES, SOLVERS, ConfigError, GridModel, LedAnchor,
                        PdOptics, SceneConfig, TargetSet, apply_overrides,
                        build_grid, config_from_dict, config_to_dict,

@@ -8,8 +8,8 @@ and the incidence angle have cosine ``dz / d``.  The gain of one link is
 
 with ``R_o`` the Lambertian radiant intensity and ``A_eff`` the effective
 detection area (zero beyond the field of view).  Gains are real and
-nonnegative; the power fingerprint squares them elementwise and the
-correlation fingerprint takes products over anchor pairs.
+nonnegative; the correlation fingerprint takes products over anchor pairs,
+and its i == j rows, the squared gains, are the power fingerprint.
 """
 
 from __future__ import annotations
@@ -93,20 +93,10 @@ class GainModel:
         return gains, grads
 
 
-def channel_gain(led: LedAnchor, point, pd: PdOptics, m: float) -> float:
-    """Gain of a single LED-to-point link (0 outside the field of view)."""
-    return float(gains_to_points([led], np.asarray(point, dtype=float)[None, :], pd, m)[0, 0])
-
-
 def build_gain_matrix(leds: Sequence[LedAnchor], grid: GridModel,
                       pd: PdOptics, m: float) -> np.ndarray:
     """(M, N) gain matrix over all anchor/grid-cell links."""
     return gains_to_points(leds, grid.centers, pd, m)
-
-
-def build_power_fingerprint(gains: np.ndarray) -> np.ndarray:
-    """Power fingerprint: elementwise square of the gain matrix."""
-    return np.square(gains)
 
 
 @dataclass(frozen=True)
@@ -132,14 +122,6 @@ class PairIndexMap:
     @property
     def n_pairs(self) -> int:
         return self.m * (self.m + 1) // 2
-
-    def row_of(self, i: int, j: int) -> int:
-        if not 0 <= i <= j < self.m:
-            raise ValueError(f"pair ({i}, {j}) needs 0 <= i <= j < {self.m}")
-        return i * self.m - i * (i - 1) // 2 + (j - i)
-
-    def pair_of(self, row: int) -> tuple[int, int]:
-        return int(self.first[row]), int(self.second[row])
 
     @property
     def diagonal_rows(self) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Command-line front end: fingerprint/simulate/sweep/baseline subcommands.
+"""Command-line front end: fingerprint/simulate/sweep subcommands.
 
 Outputs are plot-ready CSV tables (floats at 17 significant digits, so the
 text round-trips) with JSON mirrors, plus a run manifest with content
@@ -252,11 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--dump-measurements", action="store_true",
                      help="also write the raw measurement vector(s)")
 
-    base = sub.add_parser("baseline", parents=[common],
-                          help="run one RSS-lateration trial")
-    base.add_argument("--K", type=int, help="number of targets")
-    base.add_argument("--dump-measurements", action="store_true")
-
     sweep = sub.add_parser("sweep", parents=[common],
                            help="Monte-Carlo campaign over K and SNR")
     sweep.add_argument("--solver", choices=SOLVERS)
@@ -310,13 +305,11 @@ def main(argv=None) -> int:
             config = _effective_config(args)
 
         os.makedirs(out_dir, exist_ok=True)
-        if args.command in ("fingerprint", "simulate", "baseline"):
+        if args.command in ("fingerprint", "simulate"):
             started = datetime.now(timezone.utc).isoformat()
             if args.command == "fingerprint":
                 written = cmd_fingerprint(config, out_dir)
             else:
-                if args.command == "baseline":
-                    config = dataclasses.replace(config, scheme="rss_baseline")
                 written = cmd_simulate(config, out_dir, args.dump_measurements)
             written.append(_write_manifest(out_dir, args.command, config,
                                            written, started))

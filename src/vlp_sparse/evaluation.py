@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -26,8 +24,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .channel import (GainModel, PairIndexMap,
                       build_correlation_fingerprint, build_gain_matrix,
-                      build_power_fingerprint, gains_to_points,
-                      lambertian_order, led_positions)
+                      gains_to_points, lambertian_order, led_positions)
 from .measurement import (POWER, DitherPlan, MeasurementVector,
                           indicator_from_cells, remove_noise_floor,
                           synthesize_single_target_powers,
@@ -35,11 +32,8 @@ from .measurement import (POWER, DitherPlan, MeasurementVector,
 # unused here, but perfbench/spans.py times the power synthesis under this name
 from .measurement import synthesize_snapshot_power  # noqa: F401
 from .recovery import locate_cocsm, locate_csm
-from .scenario import (SCHEMES, GridModel, LedAnchor, SceneConfig, TargetSet,
-                       build_grid, place_leds, sample_targets,
-                       snr_to_noise_variance)
-
-_PAD_SENTINEL = 1e6  # meters; far enough that a padded match is always wrong
+from .scenario import (SCHEMES, GridModel, LedAnchor, SceneConfig, build_grid,
+                       place_leds, sample_targets, snr_to_noise_variance)
 
 
 @dataclass(frozen=True)
@@ -51,9 +45,13 @@ class Scene:
     leds: list[LedAnchor]
     m: float
     gains: np.ndarray  # (M, N)
-    power_fp: np.ndarray  # (M, N)
     corr_fp: np.ndarray  # (M(M+1)/2, N)
     pairs: PairIndexMap
+
+    @property
+    def power_fp(self) -> np.ndarray:
+        """(M, N) power fingerprint: the diagonal-pair rows of ``corr_fp``."""
+        return self.corr_fp[self.pairs.diagonal_rows]
 
     @property
     def gain_model(self) -> GainModel:
@@ -68,8 +66,7 @@ def build_scene(config: SceneConfig) -> Scene:
     gains = build_gain_matrix(leds, grid, config.pd, m)
     corr_fp, pairs = build_correlation_fingerprint(gains)
     return Scene(config=config, grid=grid, leds=leds, m=m, gains=gains,
-                 power_fp=build_power_fingerprint(gains), corr_fp=corr_fp,
-                 pairs=pairs)
+                 corr_fp=corr_fp, pairs=pairs)
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,6 @@ class TrialResult:
     snapshots: int
     error_m: float
     exact_support: bool
-    runtime_s: float
     failed: bool = False
     failure: str | None = None  # "ExceptionType: message" when failed
     support: np.ndarray | None = None
@@ -118,19 +114,17 @@ def _assignment(est: np.ndarray, truth: np.ndarray):
     if est.shape[0] > truth.shape[0]:
         raise ValueError("more estimates than ground-truth targets")
     if est.shape[0] < truth.shape[0]:
-        warnings.warn("solver under-returned; padding estimates with a far sentinel")
-        pad = np.full((truth.shape[0] - est.shape[0], 2), _PAD_SENTINEL)
-        est = np.vstack([est, pad])
+        raise ValueError("fewer estimates than ground-truth targets")
     cost = np.linalg.norm(est[:, None, :] - truth[None, :, :], axis=2)
     rows, cols = linear_sum_assignment(cost)
-    return est, cost, rows, cols
+    return cost, rows, cols
 
 
 def match_and_error(est, truth) -> float:
     """Mean Euclidean distance under the minimum-cost estimate/truth pairing."""
     est = _as_points(est, "est")
     truth = _as_points(truth, "truth")
-    est, cost, rows, cols = _assignment(est, truth)
+    cost, rows, cols = _assignment(est, truth)
     return float(np.mean(cost[rows, cols]))
 
 
@@ -138,7 +132,7 @@ def aligned_estimates(est, truth) -> np.ndarray:
     """Estimates reordered so row k is the one matched to truth row k."""
     est = _as_points(est, "est")
     truth = _as_points(truth, "truth")
-    est, _, rows, cols = _assignment(est, truth)
+    _, rows, cols = _assignment(est, truth)
     aligned = np.empty_like(truth)
     aligned[cols] = est[rows]
     return aligned
@@ -218,7 +212,6 @@ def _synthesize_cs(scene: Scene, config: SceneConfig,
 
 def _locate_cs(scheme: str, scene: Scene, config: SceneConfig, k: int,
                meas: MeasurementVector, noise_variance: float):
-    start = time.perf_counter()
     if scheme == "csm":
         loc = locate_csm(meas, scene.power_fp, k, noise_variance, scene.grid,
                          solver=config.solver, gain_model=scene.gain_model)
@@ -226,8 +219,7 @@ def _locate_cs(scheme: str, scene: Scene, config: SceneConfig, k: int,
         loc = locate_cocsm(meas, scene.corr_fp, k, noise_variance, scene.grid,
                            scene.pairs, solver=config.solver,
                            gain_model=scene.gain_model)
-    runtime = time.perf_counter() - start
-    return loc.positions, loc.support, runtime, meas
+    return loc.positions, loc.support, meas
 
 
 def _locate_baseline(scene: Scene, config: SceneConfig,
@@ -240,12 +232,10 @@ def _locate_baseline(scene: Scene, config: SceneConfig,
     rss = remove_noise_floor(
         MeasurementVector(powers, POWER, noise_variance, config.snapshots),
         noise_variance).values
-    start = time.perf_counter()
     positions = rss_baseline_locate(rss, scene.leds, config.pd, scene.m,
                                     config.receiver_height)
-    runtime = time.perf_counter() - start
     support = np.sort(scene.grid.cell_of(positions))
-    return positions, support, runtime, measurements
+    return positions, support, measurements
 
 
 def run_trial(config: SceneConfig, rng: np.random.Generator,
@@ -282,10 +272,10 @@ def run_trial(config: SceneConfig, rng: np.random.Generator,
                     cs_meas = _synthesize_cs(scene, config, target_gains,
                                              noise_variance, seeds[1],
                                              seeds[2])
-                est, support, runtime, meas = _locate_cs(
+                est, support, meas = _locate_cs(
                     scheme, scene, config, k, cs_meas[scheme], noise_variance)
             elif scheme == "rss_baseline":
-                est, support, runtime, meas = _locate_baseline(
+                est, support, meas = _locate_baseline(
                     scene, config, target_gains, noise_variance,
                     np.random.default_rng(seeds[3]))
             else:
@@ -296,14 +286,14 @@ def run_trial(config: SceneConfig, rng: np.random.Generator,
                 error_m=match_and_error(est, targets.true_positions),
                 exact_support=set(np.asarray(support).tolist())
                 == set(targets.true_cells.tolist()),
-                runtime_s=runtime, support=np.asarray(support),
+                support=np.asarray(support),
                 est_positions=est, true_positions=targets.true_positions,
                 measurement=meas)
         except (ValueError, np.linalg.LinAlgError) as exc:
             results[scheme] = TrialResult(
                 scheme=scheme, k=k, snr_db=realized_snr,
                 snapshots=config.snapshots, error_m=math.nan,
-                exact_support=False, runtime_s=0.0, failed=True,
+                exact_support=False, failed=True,
                 failure=f"{type(exc).__name__}: {exc}",
                 true_positions=targets.true_positions)
     return results

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PairIndexMap
-from .scenario import TargetSet
 
 # snapshots per accumulation block; fixed so summation order (and therefore
 # bit-level results) never depends on the caller
@@ -85,10 +84,6 @@ def indicator_from_cells(cells, n: int) -> np.ndarray:
     indicator = np.zeros(n)
     indicator[cells] = 1.0
     return indicator
-
-
-def indicator_from_targets(targets: TargetSet, n: int) -> np.ndarray:
-    return indicator_from_cells(targets.true_cells, n)
 
 
 def synthesize_ideal_power(power_fp: np.ndarray, indicator: np.ndarray,

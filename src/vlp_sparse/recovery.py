@@ -37,7 +37,6 @@ class SparseSolution:
     coefficients: np.ndarray
     residual_norm: float
     iterations: int
-    converged: bool = True
 
 
 @dataclass(frozen=True)
@@ -60,25 +59,14 @@ class LocalizationResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def unknown_k_threshold(noise_variance: float, m_eff: int) -> float:
-    """Residual level for stopping when the target count is unknown.
-
-    Heuristic 3 * sigma * sqrt(M_eff); pass it as ``stop_residual`` to
-    :func:`omp`.  Off by default everywhere (the pipelines assume K known).
-    """
-    return 3.0 * math.sqrt(noise_variance * m_eff)
-
-
-def omp(A: np.ndarray, b: np.ndarray, k: int,
-        stop_residual: float | None = None) -> SparseSolution:
+def omp(A: np.ndarray, b: np.ndarray, k: int) -> SparseSolution:
     """Orthogonal matching pursuit: exactly ``k`` greedy selections.
 
     Each iteration picks the column with the largest |correlation| between
     the unit-normalized dictionary and the residual, then refits all selected
     coefficients by least squares on the raw columns.  A candidate that would
     make the selected set rank-deficient is skipped in favor of the next-best
-    column.  With ``stop_residual`` set, ``k`` becomes an upper bound and the
-    pursuit stops once the residual norm drops to that level.
+    column.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
@@ -96,10 +84,7 @@ def omp(A: np.ndarray, b: np.ndarray, k: int,
     rejected: set[int] = set()
     coef = np.zeros(0)
     residual = b
-    residual_norm = float(np.linalg.norm(b))
     for _ in range(k):
-        if stop_residual is not None and residual_norm <= stop_residual:
-            break
         corr = unit.T @ residual
         order = np.lexsort((np.arange(cols), -np.abs(corr)))
         picked = -1
@@ -117,73 +102,9 @@ def omp(A: np.ndarray, b: np.ndarray, k: int,
             raise ValueError("fewer than k linearly independent columns available")
         selected.append(picked)
         residual = b - A[:, selected] @ coef
-        residual_norm = float(np.linalg.norm(residual))
     return SparseSolution(support=np.array(selected), coefficients=coef,
-                          residual_norm=residual_norm,
-                          iterations=len(selected))
-
-
-def largest_squared_singular_value(A: np.ndarray, iters: int = 50,
-                                   tol: float = 1e-6) -> float:
-    """Power iteration estimate of ||A||_2^2 (deterministic start vector)."""
-    n = A.shape[1]
-    v = np.full(n, 1.0 / math.sqrt(n))
-    value = 0.0
-    for _ in range(iters):
-        w = A.T @ (A @ v)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        if abs(norm - value) <= tol * norm:
-            return norm
-        value = norm
-    return value
-
-
-def _soft_threshold(x: np.ndarray, level: float) -> np.ndarray:
-    return np.sign(x) * np.maximum(np.abs(x) - level, 0.0)
-
-
-def ista_lasso(A: np.ndarray, b: np.ndarray, lam: float,
-               max_iters: int = 1000, tol: float = 1e-10,
-               k: int | None = None) -> SparseSolution:
-    """Iterative soft-thresholding for 0.5 ||A theta - b||^2 + lam ||theta||_1.
-
-    Fixed step 1 / ||A||_2^2; stops when the iterate change drops below
-    ``tol`` (flagged non-converged otherwise).  Support keeps entries above
-    1e-8 in magnitude, optionally truncated to the ``k`` largest.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be > 0")
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).ravel()
-    n = A.shape[1]
-    lipschitz = largest_squared_singular_value(A)
-    if lipschitz == 0.0:
-        return SparseSolution(np.zeros(0, dtype=int), np.zeros(0), float(np.linalg.norm(b)),
-                              iterations=0)
-    step = 1.0 / lipschitz
-    theta = np.zeros(n)
-    converged = False
-    it = 0
-    for it in range(1, max_iters + 1):
-        grad = A.T @ (A @ theta - b)
-        new = _soft_threshold(theta - step * grad, step * lam)
-        delta = float(np.linalg.norm(new - theta))
-        theta = new
-        if delta < tol:
-            converged = True
-            break
-    support = np.nonzero(np.abs(theta) > 1e-8)[0]
-    if k is not None and support.size > k:
-        order = np.lexsort((support, -np.abs(theta[support])))
-        support = np.sort(support[order[:k]])
-    coefficients = theta[support]
-    residual = b - A[:, support] @ coefficients if support.size else b
-    return SparseSolution(support=support, coefficients=coefficients,
                           residual_norm=float(np.linalg.norm(residual)),
-                          iterations=it, converged=converged)
+                          iterations=len(selected))
 
 
 def nnls_top_k(A: np.ndarray, b: np.ndarray, k: int) -> SparseSolution:
@@ -290,19 +211,11 @@ def recoverability_advisory(m_eff: int, n: float, k: int) -> RecoveryAdvisory:
                             ratio=ratio, flagged=ratio < 1.0)
 
 
-def _solve(A: np.ndarray, b: np.ndarray, k: int, solver: str,
-           ista_lambda: float | None, ista_max_iters: int) -> SparseSolution:
+def _solve(A: np.ndarray, b: np.ndarray, k: int, solver: str) -> SparseSolution:
     if solver == "omp":
         return omp(A, b, k)
     if solver == "nnls":
         return nnls_top_k(A, b, k)
-    if solver == "ista":
-        if ista_lambda is None:
-            scale = float(np.max(np.abs(A.T @ b)))
-            if scale == 0.0:
-                raise ValueError("zero measurement: support of size k is undefined")
-            ista_lambda = 1e-3 * scale
-        return ista_lasso(A, b, ista_lambda, max_iters=ista_max_iters, k=k)
     raise ValueError(f"unknown solver '{solver}'")
 
 
@@ -338,12 +251,11 @@ def _distinct_cells(grid: GridModel, xy: np.ndarray) -> np.ndarray:
 
 def _locate(scheme: str, fp: np.ndarray, b: np.ndarray, k: int,
             noise_variance: float, grid: GridModel, first: np.ndarray,
-            second: np.ndarray, solver: str, ista_lambda: float | None,
-            ista_max_iters: int,
+            second: np.ndarray, solver: str,
             gain_model: GainModel | None) -> LocalizationResult:
     if solver == "nnls" and gain_model is None:
         raise ValueError("the nnls solver needs the continuous gain model")
-    solution = _solve(fp, b, k, solver, ista_lambda, ista_max_iters)
+    solution = _solve(fp, b, k, solver)
     diagnostics = {"snr_db": _estimated_snr_db(b, noise_variance),
                    "residual_norm": solution.residual_norm,
                    "solver": solver,
@@ -363,7 +275,6 @@ def _locate(scheme: str, fp: np.ndarray, b: np.ndarray, k: int,
 
 def locate_csm(meas: MeasurementVector, power_fp: np.ndarray, k: int,
                noise_variance: float, grid: GridModel, solver: str = "omp",
-               ista_lambda: float | None = None, ista_max_iters: int = 1000,
                gain_model: GainModel | None = None) -> LocalizationResult:
     """Power-measurement pipeline: floor removal, sparse solve, cells to centers.
 
@@ -374,13 +285,12 @@ def locate_csm(meas: MeasurementVector, power_fp: np.ndarray, k: int,
     b = remove_noise_floor(meas, noise_variance).values
     anchors = np.arange(power_fp.shape[0])
     return _locate("csm", power_fp, b, k, noise_variance, grid, anchors,
-                   anchors, solver, ista_lambda, ista_max_iters, gain_model)
+                   anchors, solver, gain_model)
 
 
 def locate_cocsm(meas: MeasurementVector, corr_fp: np.ndarray, k: int,
                  noise_variance: float, grid: GridModel, pairs: PairIndexMap,
-                 solver: str = "omp", ista_lambda: float | None = None,
-                 ista_max_iters: int = 1000,
+                 solver: str = "omp",
                  gain_model: GainModel | None = None) -> LocalizationResult:
     """Correlation-measurement pipeline with diagonal-row floor removal.
 
@@ -390,5 +300,4 @@ def locate_cocsm(meas: MeasurementVector, corr_fp: np.ndarray, k: int,
         raise ValueError("cocsm expects a correlation measurement")
     b = remove_noise_floor(meas, noise_variance, pairs).values
     return _locate("cocsm", corr_fp, b, k, noise_variance, grid, pairs.first,
-                   pairs.second, solver, ista_lambda, ista_max_iters,
-                   gain_model)
+                   pairs.second, solver, gain_model)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-SOLVERS = ("omp", "ista", "nnls")
+SOLVERS = ("omp", "nnls")
 SCHEMES = ("csm", "cocsm", "rss_baseline")
 
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from vlp_sparse import (GainModel, PdOptics, SceneConfig,
-                        build_correlation_fingerprint,
-                        build_gain_matrix, build_grid, build_power_fingerprint,
-                        channel_gain, effective_area, gains_to_points,
+                        build_correlation_fingerprint, build_gain_matrix,
+                        build_grid, effective_area, gains_to_points,
                         lambertian_order, place_leds, radiant_intensity)
 from vlp_sparse.channel import PairIndexMap
 
@@ -18,6 +17,11 @@ def closed_form_gain(dz, dist, pd, m):
     coeff = (m + 1) / (2 * math.pi) * pd.detector_area * pd.filter_gain \
         * pd.concentrator_gain
     return coeff * dz ** (m + 1) / dist ** (m + 3)
+
+
+def link_gain(led, point, pd, m):
+    """Gain of the single link from ``led`` to ``point`` (3,)."""
+    return float(gains_to_points([led], np.asarray(point)[None, :], pd, m)[0, 0])
 
 
 def test_lambertian_order_examples():
@@ -50,7 +54,7 @@ def test_effective_area_values_and_cutoff():
 def test_nadir_link_gain_matches_hand_value():
     cfg = SceneConfig()
     led = place_leds(cfg)[0]
-    h = channel_gain(led, np.array([0.5, 0.5, 0.85]), PD, 1.0)
+    h = link_gain(led, np.array([0.5, 0.5, 0.85]), PD, 1.0)
     assert abs(h - 6.886e-6) <= 1e-9
 
 
@@ -60,22 +64,22 @@ def test_gain_zero_outside_fov():
     # 60 deg incidence against a 30 deg field of view
     narrow = PdOptics(fov=30.0)
     point = np.array([0.5 + 2.15 * math.tan(math.radians(60)), 0.5, 0.85])
-    assert channel_gain(led, point, narrow, 1.0) == 0.0
-    assert channel_gain(led, point, PD, 1.0) > 0.0
+    assert link_gain(led, point, narrow, 1.0) == 0.0
+    assert link_gain(led, point, PD, 1.0) > 0.0
 
 
 def test_gain_linear_in_detector_area():
     led = place_leds(SceneConfig())[0]
     point = np.array([1.0, 2.0, 0.85])
-    h1 = channel_gain(led, point, PD, 1.0)
-    h2 = channel_gain(led, point, PdOptics(detector_area=2e-4), 1.0)
+    h1 = link_gain(led, point, PD, 1.0)
+    h2 = link_gain(led, point, PdOptics(detector_area=2e-4), 1.0)
     assert h2 == pytest.approx(2 * h1, rel=1e-12)
 
 
 def test_gain_requires_point_below_leds():
     led = place_leds(SceneConfig())[0]
     with pytest.raises(ValueError, match="below"):
-        channel_gain(led, np.array([0.5, 0.5, 3.0]), PD, 1.0)
+        link_gain(led, np.array([0.5, 0.5, 3.0]), PD, 1.0)
 
 
 def test_gain_matches_closed_form_on_random_links():
@@ -137,7 +141,7 @@ def test_gain_matrix_shape_and_entries():
     leds = place_leds(cfg)
     H = build_gain_matrix(leds, grid, PD, 1.0)
     assert H.shape == (16, 400)
-    assert H[3, 17] == channel_gain(leds[3], grid.centers[17], PD, 1.0)
+    assert H[3, 17] == link_gain(leds[3], grid.centers[17], PD, 1.0)
     assert np.all(H >= 0)
 
 
@@ -159,23 +163,22 @@ def test_gain_matrix_all_zero_outside_fov():
 
 def test_power_fingerprint_squares_entries():
     H = np.array([[3.0, 0.0], [1.5, 2.0]])
-    J = build_power_fingerprint(H)
+    psi, pairs = build_correlation_fingerprint(H)
+    J = psi[pairs.diagonal_rows]
     assert np.array_equal(J, np.array([[9.0, 0.0], [2.25, 4.0]]))
 
 
 def test_default_scene_fingerprint_rows_all_positive():
     # FOV 85 deg from 2.15 m above the plane covers the whole 4x4 m floor
     cfg = SceneConfig()
-    J = build_power_fingerprint(
-        build_gain_matrix(place_leds(cfg), build_grid(cfg), PD, 1.0))
+    J = np.square(build_gain_matrix(place_leds(cfg), build_grid(cfg), PD, 1.0))
     assert np.all(J.max(axis=1) > 0)
     assert np.all(J > 0)
 
 
 def test_default_scene_fingerprint_columns_distinct():
     cfg = SceneConfig()
-    J = build_power_fingerprint(
-        build_gain_matrix(place_leds(cfg), build_grid(cfg), PD, 1.0))
+    J = np.square(build_gain_matrix(place_leds(cfg), build_grid(cfg), PD, 1.0))
     assert np.unique(J.T, axis=0).shape[0] == J.shape[1]
 
 
@@ -184,9 +187,7 @@ def test_correlation_fingerprint_two_anchor_example():
     psi, pairs = build_correlation_fingerprint(H)
     assert psi.shape == (3, 1)
     np.testing.assert_array_equal(psi[:, 0], [9.0, 12.0, 16.0])
-    assert pairs.pair_of(0) == (0, 0)
-    assert pairs.pair_of(1) == (0, 1)
-    assert pairs.pair_of(2) == (1, 1)
+    assert list(zip(pairs.first, pairs.second)) == [(0, 0), (0, 1), (1, 1)]
 
 
 def test_correlation_fingerprint_row_count_and_diagonal():
@@ -194,26 +195,22 @@ def test_correlation_fingerprint_row_count_and_diagonal():
     H = build_gain_matrix(place_leds(cfg), build_grid(cfg), PD, 1.0)
     psi, pairs = build_correlation_fingerprint(H)
     assert psi.shape == (136, 400)
-    J = build_power_fingerprint(H)
-    assert np.array_equal(psi[pairs.diagonal_rows], J)  # bit-exact
+    assert np.array_equal(psi[pairs.diagonal_rows], np.square(H))  # bit-exact
 
 
 def test_pair_index_map_is_a_bijection():
     for m in (1, 2, 5, 7, 16):
         pairs = PairIndexMap.for_anchor_count(m)
         assert pairs.n_pairs == m * (m + 1) // 2
-        seen = set()
-        for row in range(pairs.n_pairs):
-            i, j = pairs.pair_of(row)
-            assert pairs.row_of(i, j) == row
-            assert 0 <= i <= j < m
-            seen.add((i, j))
-        assert len(seen) == pairs.n_pairs
+        rows = list(zip(pairs.first.tolist(), pairs.second.tolist()))
+        assert len(rows) == pairs.n_pairs
+        # every pair i <= j has exactly one row
+        assert sorted(rows) == [(i, j) for i in range(m) for j in range(i, m)]
 
 
 def test_pair_order_is_lexicographic():
     pairs = PairIndexMap.for_anchor_count(4)
-    listed = [pairs.pair_of(r) for r in range(pairs.n_pairs)]
+    listed = list(zip(pairs.first.tolist(), pairs.second.tolist()))
     assert listed == sorted(listed)
 
 

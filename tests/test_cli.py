@@ -76,12 +76,6 @@ def test_simulate_baseline_scheme_rows(tmp_path):
     assert len(lines) == 9
 
 
-def test_baseline_subcommand_forces_scheme(tmp_path):
-    assert run_cli(["baseline", "--K", "3", "--out-dir", str(tmp_path)]) == 0
-    trial = json.loads(read(tmp_path / "trial.json"))
-    assert trial["scheme"] == "rss_baseline"
-
-
 def test_simulate_dumps_measurement_vector(tmp_path):
     assert run_cli(["simulate", "--K", "2", "--scheme", "csm",
                     "--dump-measurements", "--out-dir", str(tmp_path)]) == 0
@@ -160,13 +154,46 @@ def test_sweep_rejects_non_sweep_manifest(tmp_path, capsys):
     assert "not a sweep manifest" in capsys.readouterr().err
 
 
-def test_sweep_with_ista_solver(tmp_path):
-    code = run_cli(["sweep", "--solver", "ista", "--K-list", "2",
-                    "--snr-list", "25", "--trials", "1",
-                    "--set", "snapshots=50", "--out-dir", str(tmp_path)])
-    assert code == 0
-    report = json.loads(read(tmp_path / "report.json"))
-    assert report["config"]["solver"] == "ista"
+def exit_code(argv):
+    """Exit status of the CLI, whether ``main`` returns it or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("extra", [["--set", "solver=ista"],
+                                   ["--solver", "ista"]])
+def test_sweep_rejects_the_ista_solver(tmp_path, capsys, extra):
+    out = tmp_path / "out"
+    assert exit_code(["sweep", *extra, "--K-list", "2", "--trials", "1",
+                      "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "omp" in err and "nnls" in err
+    assert not out.exists()
+
+
+def test_sweep_from_manifest_rejects_a_recorded_ista_solver(tmp_path, capsys):
+    first = tmp_path / "first"
+    assert run_cli(["sweep", "--K-list", "2", "--snr-list", "20", "--trials",
+                    "1", "--set", "snapshots=10", "--out-dir", str(first)]) == 0
+    manifest = json.loads(read(first / "manifest.json"))
+    manifest["config"]["solver"] = "ista"
+    stale = tmp_path / "stale.json"
+    stale.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--from-manifest", str(stale),
+                    "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "omp" in err and "nnls" in err
+    assert not out.exists()
+
+
+def test_baseline_subcommand_is_gone(tmp_path, capsys):
+    assert exit_code(["baseline", "--K", "2", "--out-dir", str(tmp_path)]) == 2
+    assert "simulate" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_with_nnls_solver_reruns_byte_identical(tmp_path):
@@ -185,7 +212,7 @@ def test_every_command_writes_verifying_manifest(tmp_path):
     cases = [
         ("fp", ["fingerprint"]),
         ("sim", ["simulate", "--K", "2", "--scheme", "csm"]),
-        ("base", ["baseline", "--K", "2"]),
+        ("base", ["simulate", "--K", "2", "--scheme", "rss_baseline"]),
         ("sweep", ["sweep", "--K-list", "2", "--snr-list", "20", "--trials", "1"]),
     ]
     for name, args in cases:
@@ -222,7 +249,7 @@ def test_bad_config_file_reports_location(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sub", ["fingerprint", "simulate", "sweep", "baseline"])
+@pytest.mark.parametrize("sub", ["fingerprint", "simulate", "sweep"])
 def test_help_exists_for_every_subcommand(sub, capsys):
     with pytest.raises(SystemExit) as exc:
         main([sub, "--help"])

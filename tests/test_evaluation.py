@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -11,6 +12,7 @@ from vlp_sparse import (PdOptics, SceneConfig, aligned_estimates, build_scene,
                         rss_baseline_locate, run_campaign, run_trial)
 from vlp_sparse import evaluation, measurement
 from vlp_sparse.evaluation import _trial_rng
+from vlp_sparse.recovery import LocalizationResult
 from vlp_sparse.scenario import LedAnchor
 
 PD = PdOptics()
@@ -101,18 +103,13 @@ def test_match_never_exceeds_greedy():
         assert match_and_error(est, truth) <= greedy_match(est, truth) + 1e-12
 
 
-def test_match_pads_underreturned_estimates():
-    truth = np.array([[0.0, 0.0], [1.0, 1.0]])
-    with pytest.warns(UserWarning, match="under-returned"):
-        delta = match_and_error(np.array([[0.0, 0.0]]), truth)
-    assert delta > 1e5  # sentinel dominates
-
-
 def test_match_rejects_empty_and_excess():
     with pytest.raises(ValueError):
         match_and_error(np.empty((0, 2)), np.array([[1.0, 1.0]]))
     with pytest.raises(ValueError, match="more estimates"):
         match_and_error(np.zeros((3, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="fewer estimates"):
+        match_and_error(np.zeros((1, 2)), np.zeros((2, 2)))
 
 
 def test_aligned_estimates_follow_the_matching():
@@ -283,6 +280,31 @@ def test_trial_keeps_the_failure_reason(monkeypatch):
     assert baseline.failure == "LinAlgError: singular design"
     assert results["bogus"].failure == "ValueError: unknown scheme 'bogus'"
     assert not results["csm"].failed and results["csm"].failure is None
+
+
+def test_trial_fails_on_a_short_support(monkeypatch):
+    def short_support(meas, corr_fp, k, noise_variance, grid, pairs, **kwargs):
+        cells = np.arange(k - 1)
+        return LocalizationResult(positions=grid.centers_of(cells),
+                                  support=cells, scheme="cocsm")
+
+    monkeypatch.setattr(evaluation, "locate_cocsm", short_support)
+    cfg = SceneConfig(targets_k=3, snapshots=50, seed=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = run_trial(cfg, _trial_rng(cfg.seed, 0, 0), snr_db=25.0)
+    cocsm = results["cocsm"]
+    assert cocsm.failed and math.isnan(cocsm.error_m)
+    assert cocsm.failure == ("ValueError: fewer estimates than "
+                             "ground-truth targets")
+    assert not results["csm"].failed and results["csm"].error_m < 1e5
+    assert not results["rss_baseline"].failed
+
+
+def test_scene_power_fingerprint_is_the_squared_gains():
+    scene = build_scene(SceneConfig())
+    assert scene.power_fp.shape == scene.gains.shape
+    assert np.array_equal(scene.power_fp, np.square(scene.gains))  # bit-exact
 
 
 def test_trial_with_nnls_solver_is_deterministic():

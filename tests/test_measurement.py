@@ -3,8 +3,7 @@ import pytest
 
 from vlp_sparse import (DitherPlan, MeasurementVector, SceneConfig,
                         build_scene, gains_to_points, indicator_from_cells,
-                        indicator_from_targets, remove_noise_floor,
-                        sample_targets, synthesize_ideal_correlation,
+                        remove_noise_floor, sample_targets, synthesize_ideal_correlation,
                         synthesize_ideal_power,
                         synthesize_snapshot_correlation,
                         synthesize_snapshot_power)
@@ -34,7 +33,7 @@ def test_indicator_single_cell_is_unit_vector():
 
 def test_indicator_roundtrip_with_targets(scene):
     targets = sample_targets(scene.grid, 6, False, np.random.default_rng(0))
-    ind = indicator_from_targets(targets, scene.grid.n)
+    ind = indicator_from_cells(targets.true_cells, scene.grid.n)
     assert set(np.nonzero(ind)[0].tolist()) == set(targets.true_cells.tolist())
 
 

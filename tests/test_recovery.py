@@ -5,14 +5,14 @@ import pytest
 
 from vlp_sparse import (DitherPlan, MeasurementVector, SceneConfig,
                         brute_force_support, build_scene, gains_to_points,
-                        indicator_from_cells, ista_lasso, locate_cocsm,
+                        indicator_from_cells, locate_cocsm,
                         locate_csm, nnls_top_k, omp, recoverability_advisory,
                         sample_targets, synthesize_ideal_correlation,
                         synthesize_ideal_power,
                         synthesize_snapshot_correlation)
 from vlp_sparse.channel import PairIndexMap
 from vlp_sparse import recovery
-from vlp_sparse.recovery import _distinct_cells, largest_squared_singular_value
+from vlp_sparse.recovery import _distinct_cells
 from vlp_sparse.scenario import GridModel
 
 
@@ -106,80 +106,6 @@ def test_omp_tie_breaks_toward_lowest_index():
     assert sol.support.tolist() == [0]
 
 
-def test_omp_unknown_k_stops_at_residual_threshold():
-    rng = np.random.default_rng(40)
-    A = rng.standard_normal((10, 15))
-    b = A[:, 3] + 2.0 * A[:, 8]
-    sol = omp(A, b, 5, stop_residual=1e-9)
-    assert set(sol.support.tolist()) == {3, 8}
-    assert sol.iterations == 2
-    assert sol.residual_norm <= 1e-9
-
-
-def test_unknown_k_threshold_value():
-    from vlp_sparse import unknown_k_threshold
-    assert unknown_k_threshold(4.0, 16) == pytest.approx(3 * 2 * 4, rel=1e-12)
-
-
-def test_ista_zero_measurement_gives_zero():
-    A = np.random.default_rng(5).standard_normal((6, 10))
-    sol = ista_lasso(A, np.zeros(6), lam=0.1)
-    assert sol.support.size == 0
-    assert sol.converged
-
-
-def test_ista_large_lambda_kills_everything():
-    rng = np.random.default_rng(6)
-    A = rng.standard_normal((6, 10))
-    b = rng.standard_normal(6)
-    lam = float(np.max(np.abs(A.T @ b)))
-    sol = ista_lasso(A, b, lam=lam * 1.001)
-    assert sol.support.size == 0
-
-
-def test_ista_tiny_lambda_recovers_single_column():
-    rng = np.random.default_rng(7)
-    A = rng.standard_normal((8, 12))
-    b = A[:, 5].copy()
-    lam = 1e-8 * float(np.max(np.abs(A.T @ b)))
-    sol = ista_lasso(A, b, lam=lam, max_iters=3000, tol=1e-12, k=1)
-    assert sol.support.tolist() == [5]
-
-
-def test_ista_objective_is_non_increasing():
-    rng = np.random.default_rng(8)
-    A = rng.standard_normal((6, 10))
-    b = A @ (rng.random(10) < 0.3) + 0.05 * rng.standard_normal(6)
-    lam = 0.1 * float(np.max(np.abs(A.T @ b)))
-
-    def objective(sol):
-        theta = np.zeros(10)
-        theta[sol.support] = sol.coefficients
-        return 0.5 * np.linalg.norm(A @ theta - b) ** 2 + lam * np.abs(theta).sum()
-
-    objs = [objective(ista_lasso(A, b, lam=lam, max_iters=i, tol=0.0))
-            for i in range(1, 25)]
-    for prev, cur in zip(objs, objs[1:]):
-        assert cur <= prev + 1e-12 * max(1.0, abs(prev))
-
-
-def test_ista_flags_non_convergence():
-    rng = np.random.default_rng(9)
-    A = rng.standard_normal((6, 10))
-    b = rng.standard_normal(6)
-    sol = ista_lasso(A, b, lam=1e-6, max_iters=1, tol=1e-15)
-    assert not sol.converged
-    assert sol.iterations == 1
-
-
-def test_power_iteration_matches_svd():
-    rng = np.random.default_rng(10)
-    A = rng.standard_normal((9, 14))
-    est = largest_squared_singular_value(A, iters=200, tol=1e-12)
-    assert est == pytest.approx(np.linalg.svd(A, compute_uv=False)[0] ** 2,
-                                rel=1e-6)
-
-
 def test_brute_force_zero_residual_on_true_support():
     rng = np.random.default_rng(11)
     A = rng.standard_normal((7, 10))
@@ -267,14 +193,6 @@ def test_locate_model_mismatch_raises(scene):
         locate_csm(corr, scene.power_fp, 1, 0.0, scene.grid)
     with pytest.raises(ValueError, match="correlation"):
         locate_cocsm(power, scene.corr_fp, 1, 0.0, scene.grid, scene.pairs)
-
-
-def test_locate_with_ista_solver(scene):
-    ind = indicator_from_cells([210], scene.grid.n)
-    meas = synthesize_ideal_power(scene.power_fp, ind, 0.0)
-    loc = locate_csm(meas, scene.power_fp, 1, 0.0, scene.grid, solver="ista",
-                     ista_lambda=None, ista_max_iters=2000)
-    assert loc.support.tolist() == [210]
 
 
 def test_paired_ideal_success_rates_cocsm_at_least_csm(scene):

@@ -142,10 +142,10 @@ def test_config_rejects_unknown_keys():
 
 def test_overrides_reach_nested_optics():
     cfg = apply_overrides(SceneConfig(), ["pd.detector_area=2e-4", "seed=5",
-                                          "solver=ista"])
+                                          "solver=nnls"])
     assert cfg.pd.detector_area == 2e-4
     assert cfg.seed == 5
-    assert cfg.solver == "ista"
+    assert cfg.solver == "nnls"
 
 
 def test_override_requires_key_value_form():
