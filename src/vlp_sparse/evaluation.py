@@ -15,6 +15,7 @@ results that are independent of the job count.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -149,6 +150,18 @@ def gain_to_range(gain, vertical_gap, pd, m: float):
     return (coeff * vertical_gap ** (m + 1.0) / gain) ** (1.0 / (m + 3.0))
 
 
+@functools.lru_cache(maxsize=None)
+def _anchor_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays ``(i, j)``, ``i < j``, over ``n`` usable anchors.
+
+    They depend only on the count, which is at most the anchor count, so
+    they are built once per count; read-only because every caller shares them.
+    """
+    i, j = np.triu_indices(n, k=1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def rss_baseline_locate(rss, leds, pd, m: float,
                         receiver_height: float) -> np.ndarray:
     """Per-target lateration from per-anchor received powers.
@@ -176,7 +189,7 @@ def rss_baseline_locate(rss, leds, pd, m: float,
         dist = gain_to_range(np.sqrt(columns[mask][:, targets]), vertical_gap,
                              pd, m)
         range_sq = np.maximum(dist * dist - vertical_gap * vertical_gap, 0.0)
-        i, j = np.triu_indices(pos.shape[0], k=1)
+        i, j = _anchor_pairs(pos.shape[0])
         design = 2.0 * (pos[i, :2] - pos[j, :2])
         anchor_sq = (pos[:, 0] ** 2 + pos[:, 1] ** 2)[:, None]
         rhs = (anchor_sq[i] - range_sq[i]) - (anchor_sq[j] - range_sq[j])

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.optimize import least_squares, nnls
 
 from .channel import GainModel, PairIndexMap
@@ -62,46 +63,68 @@ class LocalizationResult:
 def omp(A: np.ndarray, b: np.ndarray, k: int) -> SparseSolution:
     """Orthogonal matching pursuit: exactly ``k`` greedy selections.
 
-    Each iteration picks the column with the largest |correlation| between
-    the unit-normalized dictionary and the residual, then refits all selected
-    coefficients by least squares on the raw columns.  A candidate that would
-    make the selected set rank-deficient is skipped in favor of the next-best
-    column.
+    Each pick scores every column by ``|a_j^T r| / ||a_j||``, the
+    |correlation| of the unit-normalized column with the residual, in one
+    pass over the dictionary.  The selected columns are kept as an
+    incremental QR factorization: the candidate is orthogonalized against
+    the kept ``Q`` by classical Gram-Schmidt applied twice (CGS2, which
+    keeps ``Q`` orthonormal to working precision where one pass loses
+    orthogonality on ill-conditioned columns), and the residual is updated
+    as ``r -= q (q^T r)``, so no least-squares problem is re-solved per
+    step.  The coefficients on the raw columns come from one triangular
+    solve ``R x = Q^T b`` at the end.
+
+    A candidate whose remainder after orthogonalization is at most
+    ``rows * eps * ||a_j||`` lies in the span of the selected columns to
+    working precision; it is skipped in favor of the next-best column.
+    This is the ``eps * max(rows, cols)`` scale of ``numpy.linalg.lstsq``'s
+    default ``rcond``, measured against the candidate's own norm instead
+    of the largest singular value of the selected columns, so the test
+    does not depend on how the columns are scaled.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
     rows, cols = A.shape
     if not 1 <= k <= min(rows, cols):
         raise ValueError(f"k={k} must be in [1, min(rows, cols)={min(rows, cols)}]")
-    norms = np.linalg.norm(A, axis=0)
+    norms = np.sqrt(np.einsum("ij,ij->j", A, A))
     if not np.any(norms > 0):
         raise ValueError("dictionary has no nonzero column")
     if np.linalg.norm(b) == 0:
         raise ValueError("zero measurement: support of size k is undefined")
-    unit = A / np.where(norms > 0, norms, 1.0)
+    inv_norms = np.divide(1.0, norms, out=np.zeros(cols), where=norms > 0)
+    tolerance = rows * np.finfo(float).eps * norms
+    taken = np.zeros(cols, dtype=bool)  # selected or rejected
 
+    q_rows = np.empty((k, rows))  # Q^T, one orthonormal row per pick
+    r_upper = np.zeros((k, k))
     selected: list[int] = []
-    rejected: set[int] = set()
-    coef = np.zeros(0)
-    residual = b
-    for _ in range(k):
-        corr = unit.T @ residual
-        order = np.lexsort((np.arange(cols), -np.abs(corr)))
-        picked = -1
-        for j in order:
-            if j in rejected or j in selected:
-                continue
-            trial = selected + [int(j)]
-            x, _, rank, _ = np.linalg.lstsq(A[:, trial], b, rcond=None)
-            if rank < len(trial):
-                rejected.add(int(j))
-                continue
-            picked, coef = int(j), x
-            break
-        if picked < 0:
-            raise ValueError("fewer than k linearly independent columns available")
-        selected.append(picked)
-        residual = b - A[:, selected] @ coef
+    residual = b.copy()
+    for n in range(k):
+        scores = np.abs(A.T @ residual) * inv_norms
+        scores[taken] = -1.0
+        kept = q_rows[:n]
+        while True:
+            j = int(np.argmax(scores))  # first maximum: lowest index
+            if scores[j] < 0:
+                raise ValueError("fewer than k linearly independent columns available")
+            taken[j] = True
+            scores[j] = -1.0
+            q = A[:, j].copy()
+            h = kept @ q
+            q -= h @ kept
+            h2 = kept @ q
+            q -= h2 @ kept
+            remainder = float(np.linalg.norm(q))
+            if remainder > tolerance[j]:
+                break
+        q /= remainder
+        q_rows[n] = q
+        r_upper[:n, n] = h + h2
+        r_upper[n, n] = remainder
+        residual -= q * (q @ residual)
+        selected.append(j)
+    coef = solve_triangular(r_upper, q_rows @ b)
     return SparseSolution(support=np.array(selected), coefficients=coef,
                           residual_norm=float(np.linalg.norm(residual)),
                           iterations=len(selected))

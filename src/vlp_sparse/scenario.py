@@ -93,8 +93,10 @@ class SceneConfig:
         _require(self.noise_variance >= 0, "noise_variance", "must be >= 0")
         _require(self.snapshots >= 1, "snapshots", "must be >= 1")
         _require(0 <= self.seed < 2 ** 64, "seed", "must be an unsigned 64-bit integer")
-        _require(self.solver in SOLVERS, "solver", f"must be one of {SOLVERS}")
-        _require(self.scheme in SCHEMES, "scheme", f"must be one of {SCHEMES}")
+        _require(self.solver in SOLVERS, "solver",
+                 f"must be one of {SOLVERS}, got {self.solver!r}")
+        _require(self.scheme in SCHEMES, "scheme",
+                 f"must be one of {SCHEMES}, got {self.scheme!r}")
         _require(self.targets_k >= 1, "targets_k", "must be >= 1")
 
     @property

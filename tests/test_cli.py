@@ -187,6 +187,7 @@ def test_sweep_from_manifest_rejects_a_recorded_ista_solver(tmp_path, capsys):
                     "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert "omp" in err and "nnls" in err
+    assert "'ista'" in err  # names the stale value, not only the choices
     assert not out.exists()
 
 

@@ -11,7 +11,7 @@ from vlp_sparse import (PdOptics, SceneConfig, aligned_estimates, build_scene,
                         gains_to_points, match_and_error, place_leds,
                         rss_baseline_locate, run_campaign, run_trial)
 from vlp_sparse import evaluation, measurement
-from vlp_sparse.evaluation import _trial_rng
+from vlp_sparse.evaluation import _anchor_pairs, _trial_rng
 from vlp_sparse.recovery import LocalizationResult
 from vlp_sparse.scenario import LedAnchor
 
@@ -200,6 +200,16 @@ def test_baseline_batch_equals_column_by_column():
         single = rss_baseline_locate(rss[:, t], leds, PD, 1.0, 0.85)
         assert single.shape == (2,)
         np.testing.assert_allclose(batch[t], single, rtol=0, atol=1e-12)
+
+
+def test_anchor_pairs_are_the_upper_triangle_and_read_only():
+    for n in (3, 13, 16):
+        i, j = _anchor_pairs(n)
+        expected = np.triu_indices(n, k=1)
+        assert np.array_equal(i, expected[0]) and np.array_equal(j, expected[1])
+        assert _anchor_pairs(n)[0] is i  # built once per count
+        with pytest.raises(ValueError, match="read-only"):
+            i[0] = 1
 
 
 def test_baseline_batch_recovers_noiseless_targets():

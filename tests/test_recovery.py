@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,8 @@ from vlp_sparse import (DitherPlan, MeasurementVector, SceneConfig,
                         synthesize_snapshot_correlation)
 from vlp_sparse.channel import PairIndexMap
 from vlp_sparse import recovery
-from vlp_sparse.recovery import _distinct_cells
+from vlp_sparse.evaluation import run_trial
+from vlp_sparse.recovery import SparseSolution, _distinct_cells
 from vlp_sparse.scenario import GridModel
 
 
@@ -21,6 +23,45 @@ def random_instance(rng, rows, cols, k, coeff_low=0.5, coeff_high=2.0):
     support = np.sort(rng.choice(cols, size=k, replace=False))
     coeffs = rng.uniform(coeff_low, coeff_high, size=k)
     return A, A[:, support] @ coeffs, set(support.tolist())
+
+
+def _reference_omp(A, b, k):
+    """OMP with a least-squares re-solve per pick: the reference for ``omp``.
+
+    Same greedy rule (|correlation| against unit-normalized columns, ties
+    toward the lowest index) and rank-deficient candidates skipped by
+    ``lstsq``'s rank, but every step refits all coefficients from scratch.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float).ravel()
+    cols = A.shape[1]
+    norms = np.linalg.norm(A, axis=0)
+    unit = A / np.where(norms > 0, norms, 1.0)
+    selected: list[int] = []
+    rejected: set[int] = set()
+    coef = np.zeros(0)
+    residual = b
+    for _ in range(k):
+        corr = unit.T @ residual
+        order = np.lexsort((np.arange(cols), -np.abs(corr)))
+        picked = -1
+        for j in order:
+            if j in rejected or j in selected:
+                continue
+            trial = selected + [int(j)]
+            x, _, rank, _ = np.linalg.lstsq(A[:, trial], b, rcond=None)
+            if rank < len(trial):
+                rejected.add(int(j))
+                continue
+            picked, coef = int(j), x
+            break
+        if picked < 0:
+            raise ValueError("fewer than k linearly independent columns available")
+        selected.append(picked)
+        residual = b - A[:, selected] @ coef
+    return SparseSolution(support=np.array(selected), coefficients=coef,
+                          residual_norm=float(np.linalg.norm(residual)),
+                          iterations=len(selected))
 
 
 def test_omp_identity_dictionary():
@@ -151,6 +192,105 @@ def test_omp_support_is_permutation_equivariant():
     inverse = np.argsort(perm)
     permuted = omp(A[:, perm], b, 2).support
     assert set(permuted.tolist()) == set(inverse[base].tolist())
+
+
+def fingerprint_instances(scene, monkeypatch):
+    """(A, b, k) of every csm and cocsm ``omp`` call in real trials.
+
+    Trials as ``run_trial`` draws them at L = 100 and 10^4, K = 1..10 and
+    10 and 20 dB: 320 instances.
+    """
+    calls = []
+    solve = recovery.omp
+
+    def record(A, b, k):
+        calls.append((A, b, k))
+        return solve(A, b, k)
+
+    monkeypatch.setattr(recovery, "omp", record)
+    for snapshots in (100, 10_000):
+        for k in range(1, 11):
+            config = dataclasses.replace(scene.config, snapshots=snapshots,
+                                         targets_k=k)
+            for snr_db in (10.0, 20.0):
+                for t in range(4):
+                    rng = np.random.default_rng(np.random.SeedSequence(
+                        91, spawn_key=(snapshots, k, int(snr_db), t)))
+                    run_trial(config, rng, scene=scene, snr_db=snr_db,
+                              schemes=("csm", "cocsm"))
+    monkeypatch.undo()
+    return calls
+
+
+def tied_instances(rng):
+    """Each pick ties exactly between a column and its later duplicate."""
+    for n in (4, 7, 10):
+        diag = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+        half = np.diag(diag)[:, rng.permutation(n)]
+        yield np.hstack([half, half]), rng.standard_normal(n), n - 1
+
+
+def ill_conditioned_instance():
+    """Monomial columns on [0, 1]; the 8 that OMP picks have cond ~1e4."""
+    t = np.linspace(0.0, 1.0, 30)
+    A = t[:, None] ** np.arange(12)
+    b = A @ np.random.default_rng(15).uniform(0.5, 2.0, 12)
+    return A, b, 8
+
+
+def test_omp_supports_equal_reference_in_order(scene, monkeypatch):
+    instances = fingerprint_instances(scene, monkeypatch)
+    assert len(instances) >= 300
+    rng = np.random.default_rng(16)
+    for _ in range(30):
+        rows = int(rng.integers(12, 25))
+        cols = int(rng.integers(8, 25))
+        k = int(rng.integers(1, 6))
+        A, b, _ = random_instance(rng, rows, cols, k)
+        instances.append((A, b + 0.05 * rng.standard_normal(rows), k))
+    instances.extend(tied_instances(rng))
+    instances.append(ill_conditioned_instance())
+    for A, b, k in instances:
+        sol, ref = omp(A, b, k), _reference_omp(A, b, k)
+        assert sol.support.tolist() == ref.support.tolist()
+        assert sol.iterations == ref.iterations == k
+        assert sol.residual_norm == pytest.approx(ref.residual_norm,
+                                                  rel=1e-12, abs=1e-14)
+
+
+def test_omp_coefficients_equal_least_squares_on_the_support(scene,
+                                                              monkeypatch):
+    instances = fingerprint_instances(scene, monkeypatch)[::8]
+    instances.append(ill_conditioned_instance())
+    for A, b, k in instances:
+        sol = omp(A, b, k)
+        cols = A[:, sol.support]
+        x, _, _, _ = np.linalg.lstsq(cols, b, rcond=None)
+        assert np.linalg.norm(sol.coefficients - x) \
+            <= 1e-10 * np.linalg.norm(x)
+        r = b - cols @ sol.coefficients
+        proj = np.abs(cols.T @ r) / (np.linalg.norm(cols, axis=0)
+                                     * np.linalg.norm(b))
+        assert np.all(proj < 1e-9)
+        assert sol.residual_norm == pytest.approx(np.linalg.norm(r),
+                                                  rel=1e-10, abs=1e-14)
+
+
+def test_omp_skips_a_near_duplicate_and_keeps_an_independent_column():
+    # after the first pick the residual is exactly zero in rows 3..5, so
+    # the independent column 2 scores 0 and the near-duplicate column 1,
+    # at residual noise, is tried first; large norms make the rank test's
+    # ||a_j|| factor decide it
+    rows = 6
+    a0 = np.zeros(rows)
+    a0[:3] = np.random.default_rng(17).standard_normal(3) * 1e8
+    independent = np.zeros(rows)
+    independent[3] = 1.0
+    A = np.column_stack([a0, a0 * (1 + 1e-15), independent])
+    sol = omp(A, a0, 2)
+    assert sol.support.tolist() == [0, 2]
+    assert sol.support.tolist() == _reference_omp(A, a0, 2).support.tolist()
+    assert sol.coefficients == pytest.approx([1.0, 0.0], abs=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from vlp_sparse import (ConfigError, PdOptics, SceneConfig, apply_overrides,
-                        build_grid, config_from_dict, config_to_dict,
-                        load_config, place_leds, sample_targets)
+from vlp_sparse import (SCHEMES, SOLVERS, ConfigError, PdOptics, SceneConfig,
+                        apply_overrides, build_grid, config_from_dict,
+                        config_to_dict, load_config, place_leds,
+                        sample_targets)
 
 
 def test_default_grid_has_400_cells():
@@ -118,6 +119,14 @@ def test_sampling_is_deterministic_per_seed():
 def test_config_invariants_rejected(field, value):
     with pytest.raises(ConfigError):
         SceneConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value,allowed", [("solver", "ista", SOLVERS),
+                                                 ("scheme", "knn", SCHEMES)])
+def test_config_error_names_the_rejected_choice(field, value, allowed):
+    with pytest.raises(ConfigError) as exc:
+        SceneConfig(**{field: value})
+    assert str(exc.value) == f"{field}: must be one of {allowed}, got {value!r}"
 
 
 def test_pd_optics_invariants():
