@@ -24,8 +24,8 @@ from .evaluation import (CampaignReport, aligned_estimates, build_scene,
                          run_campaign, run_trial)
 from .measurement import MeasurementVector
 from .scenario import (SCHEMES, SOLVERS, ConfigError, SceneConfig,
-                       apply_overrides, config_from_dict, config_to_dict,
-                       load_config)
+                       apply_overrides, build_grid, check_targets_k,
+                       config_from_dict, config_to_dict, load_config)
 
 REPORT_COLUMNS = ("scheme", "K", "snr_db", "L", "trials",
                   "mean_error_m", "std_error_m", "success_rate", "failures")
@@ -104,6 +104,7 @@ def _measurement_rows(meas) -> list[MeasurementVector]:
 def cmd_simulate(config: SceneConfig, out_dir: str,
                  dump_measurements: bool = False) -> list[str]:
     """Run one trial of the configured scheme and write scatter + trial files."""
+    check_targets_k(build_grid(config), config.targets_k)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     results = run_trial(config, rng, schemes=[config.scheme])
     result = results[config.scheme]

@@ -34,7 +34,8 @@ from .measurement import (POWER, DitherPlan, MeasurementVector,
 from .measurement import synthesize_snapshot_power  # noqa: F401
 from .recovery import locate_cocsm, locate_csm
 from .scenario import (SCHEMES, GridModel, LedAnchor, SceneConfig, build_grid,
-                       place_leds, sample_targets, snr_to_noise_variance)
+                       check_targets_k, place_leds, sample_targets,
+                       snr_to_noise_variance)
 
 
 @dataclass(frozen=True)
@@ -344,7 +345,8 @@ def run_campaign(config: SceneConfig, k_list, snr_list, trials: int,
     the report is identical for any ``jobs``.  Solver failures inside a trial
     are counted and excluded from the error statistics.  The scene depends on
     neither K nor SNR, so it is built once and handed to each pool worker
-    when the worker starts, not with every cell.
+    when the worker starts, not with every cell.  Every K is checked
+    against the grid before any trial runs.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -355,6 +357,8 @@ def run_campaign(config: SceneConfig, k_list, snr_list, trials: int,
     tasks = [(config, idx, k, snr, trials, schemes)
              for idx, (k, snr) in enumerate(cells)]
     scene = build_scene(config)
+    for k in k_list:
+        check_targets_k(scene.grid, k)
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                  initargs=(scene,)) as pool:

@@ -29,11 +29,17 @@ from .channel import PairIndexMap
 # snapshots per accumulation block; fixed so summation order (and therefore
 # bit-level results) never depends on the caller
 _CHUNK = 1 << 16
-# largest L sampled explicitly: where the two samplers' call times cross
-# (median over fresh seeds, K = 1..8, M = 16, 2-vCPU Xeon: both ~0.19 ms
-# at L = 256; explicit 0.10 ms against 0.14 ms at L = 100, 0.25 against
-# 0.23 ms at L = 384)
+# largest L sampled explicitly: near where the two samplers' call times
+# cross (median over fresh seeds, K = 1..8, M = 16, 2-vCPU Xeon, three
+# rounds: explicit 0.13-0.16 ms against statistics 0.14-0.20 ms at L = 256,
+# 0.11-0.16 against 0.15-0.20 ms at L = 257, 0.17-0.19 against 0.13-0.15 ms
+# at L = 384); kept at 256 because moving it changes draws
 _EXPLICIT_MAX_SNAPSHOTS = 256
+# packed dither words per Gram block, 32 KiB per row (median _dither_gram
+# over fresh seeds at L = 10^6, 2-vCPU Xeon: K = 8 took 2.2 / 1.66 / 1.58 ms
+# and K = 10 3.2 / 2.41 / 2.30 ms at 2048 / 4096 / 8192 words; K = 13 and
+# 16 were within noise at 4096 and 8192, so the smaller temporaries win)
+_GRAM_BLOCK_WORDS = 4096
 
 POWER = "power"
 CORRELATION = "correlation"
@@ -130,17 +136,23 @@ def _dither_gram(dither: DitherPlan, k: int, snapshots: int) -> np.ndarray:
 
     Each sequence is drawn as packed 64-bit words (a set bit is +1), the
     bits past L masked off; two sequences agree except where their bits
-    differ, so ``C_ab = L - 2 popcount(x_a XOR x_b)``.
+    differ, so ``C_ab = L - 2 popcount(x_a XOR x_b)`` and ``C_aa = L``.
+    Only the row pairs a < b are counted, over blocks of
+    ``_GRAM_BLOCK_WORDS`` words, and mirrored once at the end.  The largest
+    temporary is row a XORed with the rows below it: at most (K - 1)
+    blocks of words, plus one byte of count per word.
     """
     words = -(-snapshots // 64)
     bits = dither.generator().integers(0, 1 << 64, size=(k, words),
                                        dtype=np.uint64)
     bits[:, -1] &= np.uint64((1 << (snapshots - 64 * (words - 1))) - 1)
     differ = np.zeros((k, k))
-    for start in range(0, words, _CHUNK // 64):
-        block = bits[:, start:start + _CHUNK // 64]
-        differ += np.bitwise_count(block[:, None] ^ block[None]).sum(axis=2)
-    return snapshots - 2.0 * differ
+    for start in range(0, words, _GRAM_BLOCK_WORDS):
+        block = bits[:, start:start + _GRAM_BLOCK_WORDS]
+        for a in range(k - 1):
+            differ[a, a + 1:] += np.bitwise_count(
+                block[a] ^ block[a + 1:]).sum(axis=1)
+    return snapshots - 2.0 * (differ + differ.T)
 
 
 def _wishart_identity(dof: int, dim: int,
@@ -168,8 +180,9 @@ def _statistics_second_moment(target_gains: np.ndarray, noise_variance: float,
     (L, r) orthonormal and ``R^T R = S^T S``, r the rank.  The sum is then
     ``(R G^T + Z)^T (R G^T + Z) + W^T (I - U U^T) W`` where ``Z = U^T W``
     has i.i.d. N(0, sigma^2) entries, independent of the last term, which is
-    sigma^2 times a Wishart(L - r, I_M) draw.  Costs O(K^2 L / 64) for the
-    dither Gram matrix, and O(K^3 + K M^2 + M^3) after it.
+    sigma^2 times a Wishart(L - r, I_M) draw.  Costs K (K - 1) / 2 row
+    pairs over L / 64 words for the dither Gram matrix, and
+    O(K^3 + K M^2 + M^3) after it.
     """
     n_anchors, k = target_gains.shape
     evals, evecs = np.linalg.eigh(_dither_gram(dither, k, snapshots))

@@ -212,6 +212,12 @@ def led_positions(leds: Sequence[LedAnchor]) -> np.ndarray:
     return np.array([led.position for led in leds])
 
 
+def check_targets_k(grid: GridModel, k: int) -> None:
+    """Raise :class:`ConfigError` unless ``k`` targets fit the grid: 1..N/4."""
+    _require(1 <= k <= grid.n // 4, "targets_k",
+             f"must be in [1, {grid.n // 4}] for this grid, got {k}")
+
+
 def sample_targets(grid: GridModel, k: int, on_grid: bool,
                    rng: np.random.Generator) -> TargetSet:
     """Draw ``k`` targets in distinct cells, uniformly without replacement.

@@ -236,6 +236,16 @@ def test_invalid_config_value_exits_2(tmp_path, capsys):
     assert not (tmp_path / "J.csv").exists()
 
 
+@pytest.mark.parametrize("args", [["sweep", "--K-list", "2,150"],
+                                  ["simulate", "--K", "150"]])
+def test_target_count_beyond_grid_exits_2(tmp_path, capsys, args):
+    assert run_cli(args + ["--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "targets_k" in err and "150" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     assert run_cli(["fingerprint", "--set", "grid_pich=0.2",
                     "--out-dir", str(tmp_path)]) == 2

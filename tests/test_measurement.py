@@ -8,7 +8,8 @@ from vlp_sparse import (DitherPlan, MeasurementVector, SceneConfig,
                         synthesize_snapshot_correlation,
                         synthesize_snapshot_power)
 from vlp_sparse.channel import PairIndexMap
-from vlp_sparse.measurement import (_EXPLICIT_MAX_SNAPSHOTS, _dither_gram,
+from vlp_sparse.measurement import (_EXPLICIT_MAX_SNAPSHOTS, _GRAM_BLOCK_WORDS,
+                                    _dither_gram,
                                     _explicit_second_moment,
                                     _statistics_second_moment,
                                     _wishart_identity,
@@ -258,6 +259,25 @@ def test_dither_gram_equals_unpacked_sign_products(snapshots):
     signs = 2.0 * bits[:, :snapshots] - 1.0
     np.testing.assert_array_equal(_dither_gram(plan, 4, snapshots),
                                   signs @ signs.T)
+
+
+BLOCK_BITS = 64 * _GRAM_BLOCK_WORDS
+
+
+@pytest.mark.parametrize("snapshots", [1, 63, BLOCK_BITS - 1, BLOCK_BITS,
+                                       BLOCK_BITS + 1, 2 * BLOCK_BITS + 37])
+@pytest.mark.parametrize("k", [1, 2, 5, 11])
+def test_dither_gram_exact_across_word_blocks(k, snapshots):
+    plan = DitherPlan.from_seed(32)
+    words = -(-snapshots // 64)
+    packed = plan.generator().integers(0, 1 << 64, size=(k, words),
+                                       dtype=np.uint64)
+    bits = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")
+    signs = 2.0 * bits[:, :snapshots] - 1.0
+    gram = _dither_gram(plan, k, snapshots)
+    np.testing.assert_array_equal(gram, signs @ signs.T)
+    np.testing.assert_array_equal(gram, gram.T)
+    np.testing.assert_array_equal(np.diagonal(gram), np.full(k, snapshots))
 
 
 @pytest.mark.parametrize("dof", [0, 1, 2, 3, 10])
