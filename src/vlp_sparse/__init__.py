@@ -28,7 +28,7 @@ from .recovery import (LocalizationResult, RecoveryAdvisory, SparseSolution,
 from .scenario import (SCHEMES, SOLVERS, ConfigError, GridModel, LedAnchor,
                        PdOptics, SceneConfig, TargetSet, apply_overrides,
                        build_grid, config_from_dict, config_to_dict,
-                       load_config, place_leds, sample_targets,
-                       snr_to_noise_variance)
+                       load_config, place_leds, realized_snr_db,
+                       sample_targets, snr_to_noise_variance)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .evaluation import (CampaignReport, aligned_estimates, build_scene,
                          run_campaign, run_trial)
-from .measurement import MeasurementVector
 from .scenario import (SCHEMES, SOLVERS, ConfigError, SceneConfig,
                        apply_overrides, build_grid, check_targets_k,
                        config_from_dict, config_to_dict, load_config)
@@ -97,10 +96,6 @@ def cmd_fingerprint(config: SceneConfig, out_dir: str) -> list[str]:
     return written
 
 
-def _measurement_rows(meas) -> list[MeasurementVector]:
-    return list(meas) if isinstance(meas, list) else [meas]
-
-
 def cmd_simulate(config: SceneConfig, out_dir: str,
                  dump_measurements: bool = False) -> list[str]:
     """Run one trial of the configured scheme and write scatter + trial files."""
@@ -136,7 +131,8 @@ def cmd_simulate(config: SceneConfig, out_dir: str,
     written = [scatter_path, trial_path]
 
     if dump_measurements:
-        rows = _measurement_rows(result.measurement)
+        meas = result.measurement
+        rows = meas if isinstance(meas, list) else [meas]
         meas_path = os.path.join(out_dir, "measurements.csv")
         width = rows[0].values.size
         header = ["model", "L", "sigma2"] + [f"v{i:03d}" for i in range(width)]
@@ -233,8 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="override the config seed")
     common.add_argument("--out-dir", default=None,
                         help="output directory (default: $VLP_SPARSE_OUT or .)")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for sweeps")
 
     parser = argparse.ArgumentParser(
         prog="vlp-sparse",
@@ -259,6 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--K-list", default="2,4,6,8,10", metavar="K1,K2,...")
     sweep.add_argument("--snr-list", default="20", metavar="DB1,DB2,...")
     sweep.add_argument("--trials", type=int, default=200)
+    sweep.add_argument("--jobs", type=int, default=1,
+                       help="parallel worker processes")
     sweep.add_argument("--from-manifest", metavar="PATH",
                        help="rerun the sweep recorded in a manifest")
     return parser

@@ -33,9 +33,9 @@ from .measurement import (POWER, DitherPlan, MeasurementVector,
 # unused here, but perfbench/spans.py times the power synthesis under this name
 from .measurement import synthesize_snapshot_power  # noqa: F401
 from .recovery import locate_cocsm, locate_csm
-from .scenario import (SCHEMES, GridModel, LedAnchor, SceneConfig, build_grid,
-                       check_targets_k, place_leds, sample_targets,
-                       snr_to_noise_variance)
+from .scenario import (SCHEMES, ConfigError, GridModel, LedAnchor, SceneConfig,
+                       build_grid, check_targets_k, place_leds,
+                       realized_snr_db, sample_targets, snr_to_noise_variance)
 
 
 @dataclass(frozen=True)
@@ -201,32 +201,14 @@ def rss_baseline_locate(rss, leds, pd, m: float,
     return positions if rss.ndim > 1 else positions[0]
 
 
-def _realized_snr_db(mean_signal: float, noise_variance: float) -> float:
-    if noise_variance <= 0:
-        return math.inf
-    return 10.0 * math.log10(mean_signal / noise_variance)
-
-
-def _synthesize_cs(scene: Scene, config: SceneConfig,
-                   target_gains: np.ndarray, noise_variance: float,
-                   dither_seed: int, noise_seed: int) -> dict:
-    """csm and cocsm measurements from one draw of the snapshot sum.
-
-    Power is bit for bit the correlation diagonal for the same seeds, so csm
-    reads the diagonal rows of the cocsm measurement.
-    """
-    corr = synthesize_snapshot_correlation(
-        target_gains, noise_variance, config.snapshots,
-        DitherPlan.from_seed(dither_seed), np.random.default_rng(noise_seed),
-        scene.pairs)
-    power = MeasurementVector(corr.values[scene.pairs.diagonal_rows], POWER,
-                              noise_variance, config.snapshots)
-    return {"csm": power, "cocsm": corr}
-
-
 def _locate_cs(scheme: str, scene: Scene, config: SceneConfig, k: int,
-               meas: MeasurementVector, noise_variance: float):
+               corr: MeasurementVector, noise_variance: float):
+    """Locate from the trial's one correlation draw; csm reads its
+    anchor-with-itself rows, bit for bit the power for the same seeds."""
+    meas = corr
     if scheme == "csm":
+        meas = MeasurementVector(corr.values[scene.pairs.diagonal_rows], POWER,
+                                 noise_variance, config.snapshots)
         loc = locate_csm(meas, scene.power_fp, k, noise_variance, scene.grid,
                          solver=config.solver, gain_model=scene.gain_model)
     else:
@@ -272,22 +254,23 @@ def run_trial(config: SceneConfig, rng: np.random.Generator,
     mean_signal = float(np.mean(scene.power_fp @ indicator))
     noise_variance = (config.noise_variance if snr_db is None
                       else snr_to_noise_variance(mean_signal, snr_db))
-    realized_snr = _realized_snr_db(mean_signal, noise_variance)
+    realized_snr = realized_snr_db(mean_signal, noise_variance)
     points = np.column_stack([targets.true_positions,
                               np.full(k, config.receiver_height)])
     target_gains = gains_to_points(scene.leds, points, config.pd, scene.m)
 
     results: dict[str, TrialResult] = {}
-    cs_meas = None
+    corr = None
     for scheme in schemes:
         try:
             if scheme in ("csm", "cocsm"):
-                if cs_meas is None:
-                    cs_meas = _synthesize_cs(scene, config, target_gains,
-                                             noise_variance, seeds[1],
-                                             seeds[2])
-                est, support, meas = _locate_cs(
-                    scheme, scene, config, k, cs_meas[scheme], noise_variance)
+                if corr is None:
+                    corr = synthesize_snapshot_correlation(
+                        target_gains, noise_variance, config.snapshots,
+                        DitherPlan.from_seed(seeds[1]),
+                        np.random.default_rng(seeds[2]), scene.pairs)
+                est, support, meas = _locate_cs(scheme, scene, config, k, corr,
+                                                noise_variance)
             elif scheme == "rss_baseline":
                 est, support, meas = _locate_baseline(
                     scene, config, target_gains, noise_variance,
@@ -319,42 +302,55 @@ def _trial_rng(seed: int, cell_idx: int, trial: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(cell_idx, trial)))
 
 
-_worker_scene: Scene | None = None  # set per pool worker or per serial run
+_worker_scene: Scene | None = None  # set per pool worker
 
 
-def _init_worker(scene: Scene | None) -> None:
+def _init_worker(scene: Scene) -> None:
     global _worker_scene
     _worker_scene = scene
 
 
-def _run_cell(args) -> list[dict[str, TrialResult]]:
-    config, cell_idx, k, snr_db, trials, schemes = args
-    if _worker_scene is None:
-        raise RuntimeError("no scene: call _init_worker before _run_cell")
+def _cell_trials(scene: Scene, config: SceneConfig, cell_idx: int, k: int,
+                 snr_db: float, trials: int, schemes) -> list[dict[str, TrialResult]]:
     cell_config = dataclasses.replace(config, targets_k=k)
     return [run_trial(cell_config, _trial_rng(config.seed, cell_idx, t),
-                      scene=_worker_scene, snr_db=snr_db, schemes=schemes)
+                      scene=scene, snr_db=snr_db, schemes=schemes)
             for t in range(trials)]
 
 
+def _run_cell(task) -> list[dict[str, TrialResult]]:
+    """Pool entry: one cell's trials on the scene the worker started with."""
+    if _worker_scene is None:
+        raise RuntimeError("no scene: call _init_worker before _run_cell")
+    return _cell_trials(_worker_scene, *task)
+
+
 def run_campaign(config: SceneConfig, k_list, snr_list, trials: int,
-                 schemes=None, jobs: int = 1) -> CampaignReport:
+                 jobs: int = 1) -> CampaignReport:
     """Full factorial campaign over target counts and SNRs, all schemes.
 
     Per-trial substreams depend only on (seed, cell index, trial index), so
     the report is identical for any ``jobs``.  Solver failures inside a trial
     are counted and excluded from the error statistics.  The scene depends on
     neither K nor SNR, so it is built once and handed to each pool worker
-    when the worker starts, not with every cell.  Every K is checked
-    against the grid before any trial runs.
+    when the worker starts, not with every cell.
+
+    Raises :class:`ConfigError` before any trial runs on ``trials`` or
+    ``jobs`` below 1, an empty ``k_list`` or ``snr_list``, a NaN or -inf
+    SNR (``inf`` is noiseless), or a K outside 1..N/4.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     k_list = [int(k) for k in k_list]
     snr_list = [float(s) for s in snr_list]
-    schemes = tuple(schemes) if schemes is not None else SCHEMES
+    for key, value, valid, rule in (
+            ("trials", trials, trials >= 1, "must be >= 1"),
+            ("jobs", jobs, jobs >= 1, "must be >= 1"),
+            ("k_list", k_list, k_list, "must not be empty"),
+            ("snr_list", snr_list, snr_list and all(s > -math.inf for s in snr_list),
+             "must be nonempty, each a number or inf")):
+        if not valid:
+            raise ConfigError(f"{key}: {rule}, got {value}")
     cells = [(k, snr) for k in k_list for snr in snr_list]
-    tasks = [(config, idx, k, snr, trials, schemes)
+    tasks = [(config, idx, k, snr, trials, SCHEMES)
              for idx, (k, snr) in enumerate(cells)]
     scene = build_scene(config)
     for k in k_list:
@@ -364,16 +360,12 @@ def run_campaign(config: SceneConfig, k_list, snr_list, trials: int,
                                  initargs=(scene,)) as pool:
             cell_results = list(pool.map(_run_cell, tasks))
     else:
-        _init_worker(scene)
-        try:
-            cell_results = [_run_cell(task) for task in tasks]
-        finally:
-            _init_worker(None)
+        cell_results = [_cell_trials(scene, *task) for task in tasks]
 
     rows: list[dict] = []
     records: dict = {}
     for (k, snr), per_trial in zip(cells, cell_results):
-        for scheme in schemes:
+        for scheme in SCHEMES:
             trial_list = [d[scheme] for d in per_trial]
             records[(k, snr, scheme)] = trial_list
             ok = [t for t in trial_list if not t.failed]
@@ -387,5 +379,5 @@ def run_campaign(config: SceneConfig, k_list, snr_list, trials: int,
                 "failures": trials - len(ok),
             })
     return CampaignReport(config=config, k_list=k_list, snr_list=snr_list,
-                          trials=trials, schemes=schemes, rows=rows,
+                          trials=trials, schemes=SCHEMES, rows=rows,
                           trial_records=records)

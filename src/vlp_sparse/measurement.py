@@ -26,9 +26,6 @@ import numpy as np
 
 from .channel import PairIndexMap
 
-# snapshots per accumulation block; fixed so summation order (and therefore
-# bit-level results) never depends on the caller
-_CHUNK = 1 << 16
 # largest L sampled explicitly: near where the two samplers' call times
 # cross (median over fresh seeds, K = 1..8, M = 16, 2-vCPU Xeon, three
 # rounds: explicit 0.13-0.16 ms against statistics 0.14-0.20 ms at L = 256,
@@ -114,21 +111,16 @@ def _explicit_second_moment(target_gains: np.ndarray, noise_variance: float,
     """Reference sampler: ``sum_l y_l y_l^T`` accumulated over drawn snapshots.
 
     Sample ``y_i(l) = sum_k s_k(l) g_ik + w_i(l)`` with dither signs from the
-    plan and AWGN from ``rng``, in fixed-size chunks so the summation order
-    never depends on the caller.  Costs O(L (K + M) M).
+    plan and AWGN from ``rng``, all L snapshots in one block (it serves only
+    L up to ``_EXPLICIT_MAX_SNAPSHOTS``).  Costs O(L (K + M) M).
     """
     n_anchors, k = target_gains.shape
-    sign_rng = dither.generator()
-    scale = float(np.sqrt(noise_variance))
-    acc = np.zeros((n_anchors, n_anchors))
-    for done in range(0, snapshots, _CHUNK):
-        size = min(_CHUNK, snapshots - done)
-        signs = sign_rng.integers(0, 2, size=(size, k)) * 2.0 - 1.0
-        block = signs @ target_gains.T
-        if scale > 0.0:
-            block += rng.normal(0.0, scale, size=(size, n_anchors))
-        acc += block.T @ block
-    return acc
+    signs = dither.generator().integers(0, 2, size=(snapshots, k)) * 2.0 - 1.0
+    samples = signs @ target_gains.T
+    if noise_variance > 0.0:
+        samples += rng.normal(0.0, float(np.sqrt(noise_variance)),
+                              size=(snapshots, n_anchors))
+    return samples.T @ samples
 
 
 def _dither_gram(dither: DitherPlan, k: int, snapshots: int) -> np.ndarray:

@@ -27,7 +27,7 @@ from scipy.optimize import least_squares, nnls
 
 from .channel import GainModel, PairIndexMap
 from .measurement import CORRELATION, POWER, MeasurementVector, remove_noise_floor
-from .scenario import GridModel
+from .scenario import GridModel, realized_snr_db
 
 
 @dataclass(frozen=True)
@@ -242,13 +242,6 @@ def _solve(A: np.ndarray, b: np.ndarray, k: int, solver: str) -> SparseSolution:
     raise ValueError(f"unknown solver '{solver}'")
 
 
-def _estimated_snr_db(values: np.ndarray, noise_variance: float) -> float:
-    if noise_variance <= 0:
-        return math.inf
-    mean_power = float(np.mean(values))
-    return 10.0 * math.log10(mean_power / noise_variance) if mean_power > 0 else -math.inf
-
-
 def _distinct_cells(grid: GridModel, xy: np.ndarray) -> np.ndarray:
     """Containing cells of ``xy`` (K, 2), made distinct.
 
@@ -279,7 +272,7 @@ def _locate(scheme: str, fp: np.ndarray, b: np.ndarray, k: int,
     if solver == "nnls" and gain_model is None:
         raise ValueError("the nnls solver needs the continuous gain model")
     solution = _solve(fp, b, k, solver)
-    diagnostics = {"snr_db": _estimated_snr_db(b, noise_variance),
+    diagnostics = {"snr_db": realized_snr_db(float(np.mean(b)), noise_variance),
                    "residual_norm": solution.residual_norm,
                    "solver": solver,
                    "advisory": recoverability_advisory(fp.shape[0],

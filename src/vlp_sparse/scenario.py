@@ -105,10 +105,6 @@ class SceneConfig:
         return (round(self.room_size[0] / self.grid_pitch),
                 round(self.room_size[1] / self.grid_pitch))
 
-    @property
-    def num_leds(self) -> int:
-        return self.led_rows * self.led_cols
-
 
 @dataclass(frozen=True)
 class GridModel:
@@ -304,3 +300,12 @@ def apply_overrides(config: SceneConfig, assignments: Sequence[str]) -> SceneCon
 def snr_to_noise_variance(mean_signal_power: float, snr_db: float) -> float:
     """Noise variance that realizes a target SNR over a given mean signal power."""
     return mean_signal_power / (10.0 ** (snr_db / 10.0)) if math.isfinite(snr_db) else 0.0
+
+
+def realized_snr_db(mean_signal_power: float, noise_variance: float) -> float:
+    """Inverse of snr_to_noise_variance: inf without noise, -inf without signal."""
+    if noise_variance <= 0:
+        return math.inf
+    if mean_signal_power <= 0:
+        return -math.inf
+    return 10.0 * math.log10(mean_signal_power / noise_variance)

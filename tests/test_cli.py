@@ -294,3 +294,50 @@ def test_config_file_with_overrides(tmp_path):
     assert meta["config"]["led_rows"] == 2
     assert meta["config"]["pd"]["detector_area"] == 2e-4
     assert meta["shapes"]["J"] == [8, 64]
+
+
+@pytest.mark.parametrize("args,key,value", [
+    (["--trials", "0"], "trials", "0"),
+    (["--jobs", "0"], "jobs", "0"),
+    (["--jobs", "-1"], "jobs", "-1"),
+    (["--K-list", ""], "k_list", "[]"),
+    (["--K-list", ","], "k_list", "[]"),
+    (["--snr-list", ""], "snr_list", "[]"),
+    (["--snr-list", ","], "snr_list", "[]"),
+    (["--snr-list=-inf"], "snr_list", "-inf"),
+    (["--snr-list", "20,nan"], "snr_list", "nan"),
+])
+def test_sweep_rejects_bad_campaign_inputs(tmp_path, capsys, args, key, value):
+    assert exit_code(["sweep", "--K-list", "2", "--snr-list", "20",
+                      "--trials", "1", "--set", "snapshots=10", *args,
+                      "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key}:" in err and value in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_sweep_accepts_an_inf_snr(tmp_path):
+    assert run_cli(["sweep", "--K-list", "2", "--snr-list", "inf",
+                    "--trials", "1", "--set", "snapshots=10",
+                    "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "report.csv", newline="") as fh:
+        assert {row["snr_db"] for row in csv.DictReader(fh)} == {"inf"}
+
+
+@pytest.mark.parametrize("sub", ["fingerprint", "simulate"])
+def test_jobs_is_a_sweep_option_only(tmp_path, capsys, sub):
+    assert exit_code([sub, "--jobs", "2", "--out-dir", str(tmp_path)]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_without_received_signal_exits_0(tmp_path, capsys):
+    # a 5 degree field of view leaves this seed's target unseen by every
+    # anchor: the realized SNR is -inf, written as null, not a crash
+    assert run_cli(["simulate", "--K", "1", "--seed", "1",
+                    "--set", "pd.fov=5", "--set", "noise_variance=1e-9",
+                    "--out-dir", str(tmp_path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    trial = json.loads(read(tmp_path / "trial.json"))
+    assert trial["snr_db"] is None

@@ -6,8 +6,8 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from vlp_sparse import (PdOptics, SceneConfig, aligned_estimates, build_scene,
-                        cell_quantization_floor, gain_to_range,
+from vlp_sparse import (ConfigError, PdOptics, SceneConfig, aligned_estimates,
+                        build_scene, cell_quantization_floor, gain_to_range,
                         gains_to_points, match_and_error, place_leds,
                         rss_baseline_locate, run_campaign, run_trial)
 from vlp_sparse import evaluation, measurement
@@ -409,3 +409,23 @@ def test_campaign_row_order_and_counts():
     keys = [(r["K"], r["snr_db"], r["scheme"]) for r in report.rows]
     assert keys == [(k, s, sch) for k in (2, 4) for s in (10.0, 20.0)
                     for sch in report.schemes]
+
+
+@pytest.mark.parametrize("k_list,snr_list,trials,jobs,key", [
+    ([2], [10.0], 0, 1, "trials"),
+    ([2], [10.0], 1, 0, "jobs"),
+    ([2], [10.0], 1, -1, "jobs"),
+    ([], [10.0], 1, 1, "k_list"),
+    ([2], [], 1, 1, "snr_list"),
+    ([2], [10.0, -math.inf], 1, 1, "snr_list"),
+    ([2], [math.nan], 1, 1, "snr_list"),
+])
+def test_campaign_rejects_bad_inputs_before_building_the_scene(
+        monkeypatch, k_list, snr_list, trials, jobs, key):
+    def no_scene(config):
+        raise AssertionError("the scene was built")
+
+    monkeypatch.setattr(evaluation, "build_scene", no_scene)
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        run_campaign(SceneConfig(snapshots=10), k_list, snr_list, trials,
+                     jobs=jobs)

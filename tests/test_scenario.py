@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from vlp_sparse import (SCHEMES, SOLVERS, ConfigError, PdOptics, SceneConfig,
                         apply_overrides, build_grid, config_from_dict,
                         config_to_dict, load_config, place_leds,
-                        sample_targets)
+                        realized_snr_db, sample_targets, snr_to_noise_variance)
 
 
 def test_default_grid_has_400_cells():
@@ -160,3 +162,11 @@ def test_overrides_reach_nested_optics():
 def test_override_requires_key_value_form():
     with pytest.raises(ConfigError, match="key=value"):
         apply_overrides(SceneConfig(), ["seed"])
+
+
+def test_realized_snr_db_inverts_snr_to_noise_variance():
+    assert realized_snr_db(1.0, 0.0) == math.inf
+    assert realized_snr_db(0.0, 1e-9) == -math.inf
+    assert realized_snr_db(10.0, 1.0) == 10.0
+    assert realized_snr_db(3.0, snr_to_noise_variance(3.0, 17.0)) == \
+        pytest.approx(17.0)
