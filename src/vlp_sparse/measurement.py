@@ -14,8 +14,11 @@ off-grid mismatch a real deployment would see.
 Both snapshot estimators read one sum ``sum_l y_l y_l^T``.  Up to
 ``_EXPLICIT_MAX_SNAPSHOTS`` snapshots it is accumulated from drawn samples;
 beyond, it is drawn from its sufficient statistics (the dither Gram matrix,
-a Gaussian projection and a Wishart remainder), whose cost does not grow
-with L.  The two samplers have the same distribution, not the same draws.
+a Gaussian projection and a Wishart remainder).  The Gram matrix is drawn
+either from the counts of the 2^(K-1) sign patterns, one multinomial draw
+costing O(2^(K-1) K^2) whatever L, or from packed sign words costing
+O(K^2 L / 64), whichever is cheaper at that (K, L).  The samplers, and the
+two Gram draws, have the same distribution, not the same draws.
 """
 
 from __future__ import annotations
@@ -28,9 +31,12 @@ from .channel import PairIndexMap
 
 # largest L sampled explicitly: near where the two samplers' call times
 # cross (median over fresh seeds, K = 1..8, M = 16, 2-vCPU Xeon, three
-# rounds: explicit 0.13-0.16 ms against statistics 0.14-0.20 ms at L = 256,
-# 0.11-0.16 against 0.15-0.20 ms at L = 257, 0.17-0.19 against 0.13-0.15 ms
-# at L = 384); kept at 256 because moving it changes draws
+# rounds, explicit against statistics: 0.06-0.10 against 0.07-0.20 ms at
+# L = 128, 0.08-0.12 against 0.08-0.25 at 192, 0.13-0.15 against 0.08-0.21
+# at 256, 0.09-0.15 against 0.06-0.20 at 257, 0.13-0.19 against 0.07-0.25
+# at 384; from L = 256 statistics wins at K <= 4, where pattern counts draw
+# the Gram matrix, and explicit mostly at K = 7, 8); kept at 256 because
+# moving it changes draws
 _EXPLICIT_MAX_SNAPSHOTS = 256
 # packed dither words per Gram block, 32 KiB per row (median _dither_gram
 # over fresh seeds at L = 10^6, 2-vCPU Xeon: K = 8 took 2.2 / 1.66 / 1.58 ms
@@ -123,7 +129,7 @@ def _explicit_second_moment(target_gains: np.ndarray, noise_variance: float,
     return samples.T @ samples
 
 
-def _dither_gram(dither: DitherPlan, k: int, snapshots: int) -> np.ndarray:
+def _packed_gram(dither: DitherPlan, k: int, snapshots: int) -> np.ndarray:
     """Exact Gram matrix ``S^T S`` of K +/-1 sequences of length L.
 
     Each sequence is drawn as packed 64-bit words (a set bit is +1), the
@@ -145,6 +151,46 @@ def _dither_gram(dither: DitherPlan, k: int, snapshots: int) -> np.ndarray:
             differ[a, a + 1:] += np.bitwise_count(
                 block[a] ^ block[a + 1:]).sum(axis=1)
     return snapshots - 2.0 * (differ + differ.T)
+
+
+def _sign_patterns(k: int) -> np.ndarray:
+    """(K, 2^(K-1)) table of every +/-1 column with first sign +1; column p
+    holds the bits of p (a set bit is -1) in rows 1..K-1."""
+    signs = np.ones((k, 1 << (k - 1)))
+    for row in range(1, k):
+        signs[row].reshape(-1, 2, 1 << (row - 1))[:, 1] = -1.0
+    return signs
+
+
+def _pattern_gram(dither: DitherPlan, k: int, snapshots: int) -> np.ndarray:
+    """The same Gram matrix, drawn from how many of the L snapshots carry
+    each sign pattern.
+
+    A snapshot's signs s and -s give the same outer product, so with the
+    first sign folded to +1 the 2^(K-1) patterns are equally likely and
+    their counts are one ``Multinomial(L, uniform)`` draw (the method of
+    types).  ``S^T S`` sums ``count * s s^T`` over the patterns: integers
+    below 2^53, so exact in float64, symmetric, with diagonal L.
+    """
+    signs = _sign_patterns(k)
+    patterns = signs.shape[1]
+    counts = dither.generator().multinomial(snapshots,
+                                            np.full(patterns, 1.0 / patterns))
+    return (signs * counts) @ signs.T
+
+
+def _dither_gram(dither: DitherPlan, k: int, snapshots: int) -> np.ndarray:
+    """Exact dither Gram matrix ``S^T S``: one law, two draws, by cost."""
+    # pattern counts while there are at most two patterns per packed word;
+    # median over fresh seeds, 2-vCPU Xeon, packed against pattern: K = 8,
+    # L = 10^6 1.0-1.6 against 0.03-0.05 ms; K = 9, L = 10^4 0.11-0.13
+    # against 0.08 ms; K = 10, L = 10^4 0.13 against 0.16-0.17 ms; K = 16,
+    # L = 10^6 3.5-4.8 against 8.4-10.7 ms.  Right at 20 of 25 (K, L) points
+    # from L = 300 to 10^6; wrong at K = 6..8, L <= 1000 (pattern faster by
+    # 0.03-0.04 ms), K = 12, L = 10^5 (a tie) and K = 15, L = 10^6 (packed
+    # 2.9-4.2 against 4.6-5.8 ms)
+    pattern = 2 ** (k - 1) <= 2 * -(-snapshots // 64)
+    return (_pattern_gram if pattern else _packed_gram)(dither, k, snapshots)
 
 
 def _wishart_identity(dof: int, dim: int,
@@ -172,8 +218,8 @@ def _statistics_second_moment(target_gains: np.ndarray, noise_variance: float,
     (L, r) orthonormal and ``R^T R = S^T S``, r the rank.  The sum is then
     ``(R G^T + Z)^T (R G^T + Z) + W^T (I - U U^T) W`` where ``Z = U^T W``
     has i.i.d. N(0, sigma^2) entries, independent of the last term, which is
-    sigma^2 times a Wishart(L - r, I_M) draw.  Costs K (K - 1) / 2 row
-    pairs over L / 64 words for the dither Gram matrix, and
+    sigma^2 times a Wishart(L - r, I_M) draw.  Costs the cheaper of the
+    two dither Gram draws, O(min(2^(K-1), L / 64) K^2), and
     O(K^3 + K M^2 + M^3) after it.
     """
     n_anchors, k = target_gains.shape

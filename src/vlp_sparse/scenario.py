@@ -298,7 +298,12 @@ def apply_overrides(config: SceneConfig, assignments: Sequence[str]) -> SceneCon
 
 
 def snr_to_noise_variance(mean_signal_power: float, snr_db: float) -> float:
-    """Noise variance that realizes a target SNR over a given mean signal power."""
+    """Noise variance that realizes a target SNR over a given mean signal power.
+
+    ``inf`` means noiseless; NaN and ``-inf`` name no noise level and raise.
+    """
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"snr_db={snr_db}: need a finite SNR or inf (noiseless)")
     return mean_signal_power / (10.0 ** (snr_db / 10.0)) if math.isfinite(snr_db) else 0.0
 
 

@@ -349,6 +349,20 @@ def test_trial_realized_snr_matches_request():
     assert results["csm"].snr_db == pytest.approx(17.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+def test_trial_rejects_an_snr_that_names_no_noise_level(snr_db):
+    cfg = SceneConfig(targets_k=3, snapshots=100)
+    with pytest.raises(ValueError, match=f"snr_db={snr_db}"):
+        run_trial(cfg, _trial_rng(cfg.seed, 0, 0), snr_db=snr_db)
+
+
+def test_trial_at_infinite_snr_is_noiseless():
+    cfg = SceneConfig(targets_k=3, snapshots=100)
+    results = run_trial(cfg, _trial_rng(cfg.seed, 0, 0), snr_db=math.inf)
+    assert all(r.snr_db == math.inf and not r.failed for r in results.values())
+    assert results["cocsm"].measurement.noise_variance == 0.0
+
+
 def test_campaign_single_cell_matches_run_trial():
     cfg = SceneConfig(targets_k=3, snapshots=30, seed=9)
     report = run_campaign(cfg, [3], [20.0], trials=1)

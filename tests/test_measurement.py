@@ -11,6 +11,8 @@ from vlp_sparse.channel import PairIndexMap
 from vlp_sparse.measurement import (_EXPLICIT_MAX_SNAPSHOTS, _GRAM_BLOCK_WORDS,
                                     _dither_gram,
                                     _explicit_second_moment,
+                                    _packed_gram, _pattern_gram,
+                                    _sign_patterns,
                                     _statistics_second_moment,
                                     _wishart_identity,
                                     synthesize_single_target_powers)
@@ -223,12 +225,14 @@ def _moment_statistics(sums):
 
 
 @pytest.mark.parametrize("snapshots,k", [(2, 3), (4, 3), (7, 3), (50, 3),
+                                         (CROSSOVER + 1, 3),
                                          (CROSSOVER + 1, 8)])
 def test_statistics_sampler_matches_explicit_distribution(snapshots, k):
     # entrywise means and variances and one cross-entry covariance of the
     # sum agree with the explicit reference within sampling error; L < K
     # makes the dither Gram matrix singular, L = 4 leaves a Wishart
-    # remainder of fewer degrees of freedom than anchors
+    # remainder of fewer degrees of freedom than anchors; at L = 257 the
+    # Gram matrix is drawn from pattern counts at K = 3, packed at K = 8
     gains = np.random.default_rng(k).uniform(0.5, 1.5, size=(3, k))
     draws = 4000
     ref = _sample_sums(_explicit_second_moment, gains, 1.0, snapshots,
@@ -257,7 +261,7 @@ def test_dither_gram_equals_unpacked_sign_products(snapshots):
                                        dtype=np.uint64)
     bits = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")
     signs = 2.0 * bits[:, :snapshots] - 1.0
-    np.testing.assert_array_equal(_dither_gram(plan, 4, snapshots),
+    np.testing.assert_array_equal(_packed_gram(plan, 4, snapshots),
                                   signs @ signs.T)
 
 
@@ -274,10 +278,102 @@ def test_dither_gram_exact_across_word_blocks(k, snapshots):
                                        dtype=np.uint64)
     bits = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")
     signs = 2.0 * bits[:, :snapshots] - 1.0
-    gram = _dither_gram(plan, k, snapshots)
+    gram = _packed_gram(plan, k, snapshots)
     np.testing.assert_array_equal(gram, signs @ signs.T)
     np.testing.assert_array_equal(gram, gram.T)
     np.testing.assert_array_equal(np.diagonal(gram), np.full(k, snapshots))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_sign_patterns_are_every_sign_column_up_to_negation(k):
+    signs = _sign_patterns(k)
+    assert signs.shape == (k, 2 ** (k - 1))
+    np.testing.assert_array_equal(signs[0], 1.0)
+    both = np.hstack([signs, -signs])
+    assert np.unique(both, axis=1).shape[1] == 2 ** k
+
+
+@pytest.mark.parametrize("snapshots,k", [(1, 1), (1, 4), (5, 3), (257, 3),
+                                         (10 ** 4, 9), (10 ** 6, 8)])
+def test_pattern_gram_is_exact(snapshots, k):
+    gram = _pattern_gram(DitherPlan.from_seed(33), k, snapshots)
+    np.testing.assert_array_equal(gram, np.round(gram))
+    np.testing.assert_array_equal(gram, gram.T)
+    np.testing.assert_array_equal(np.diagonal(gram), np.full(k, snapshots))
+    assert np.all(np.abs(gram) <= snapshots)
+    assert np.all((gram - snapshots) % 2 == 0)  # C_ab = L - 2 (disagreements)
+
+
+@pytest.mark.parametrize("k,snapshots,draw,other", [
+    (3, 64, _packed_gram, _pattern_gram),
+    (8, 63 * 64, _packed_gram, _pattern_gram),
+    (8, 64 * 64, _pattern_gram, _packed_gram),
+    (9, 10 ** 4, _pattern_gram, _packed_gram),
+    (10, 10 ** 4, _packed_gram, _pattern_gram)])
+def test_dither_gram_picks_draw_by_pattern_and_word_count(k, snapshots, draw,
+                                                           other):
+    # bit for bit: pattern counts while 2^(K-1) <= 2 ceil(L / 64), else packed
+    gram = _dither_gram(DitherPlan.from_seed(34), k, snapshots)
+    np.testing.assert_array_equal(gram,
+                                  draw(DitherPlan.from_seed(34), k, snapshots))
+    assert not np.array_equal(gram,
+                              other(DitherPlan.from_seed(34), k, snapshots))
+
+
+def _exact_off_diagonal_pmf(k, snapshots):
+    """Every distinct off-diagonal Gram triple of K x L sign matrices and
+    its probability, by enumerating all 2^(K L) of them."""
+    codes = np.arange(2 ** (k * snapshots))[:, None] >> np.arange(k * snapshots)
+    signs = (1 - 2 * (codes & 1)).reshape(-1, k, snapshots)
+    i, j = np.triu_indices(k, 1)
+    grams = np.einsum("nal,nbl->nab", signs, signs)[:, i, j]
+    cells, counts = np.unique(grams, axis=0, return_counts=True)
+    return cells, counts / counts.sum()
+
+
+def _gram_chi_square(draw, k, snapshots, seeds):
+    """Pearson chi^2 of ``seeds`` draws of the off-diagonal Gram entries
+    against their exact pmf; also returns the degrees of freedom."""
+    cells, pmf = _exact_off_diagonal_pmf(k, snapshots)
+    index = {tuple(cell): c for c, cell in enumerate(cells.tolist())}
+    i, j = np.triu_indices(k, 1)
+    observed = np.zeros(len(cells))
+    for seed in range(seeds):
+        gram = draw(DitherPlan.from_seed(seed), k, snapshots)
+        observed[index[tuple(gram[i, j].astype(int).tolist())]] += 1
+    expected = pmf * seeds
+    return float(np.sum((observed - expected) ** 2 / expected)), len(cells) - 1
+
+
+# (K, L) = (3, 5): 56 off-diagonal cells, the rarest expected 19.5 times in
+# 20 000 draws; the 1 - 10^-4 quantile of chi^2 at 55 degrees of freedom
+GRAM_LAW_K, GRAM_LAW_L, GRAM_LAW_SEEDS = 3, 5, 20000
+CHI2_55_Q9999 = 102.78
+
+
+@pytest.mark.parametrize("draw", [_packed_gram, _pattern_gram])
+def test_dither_gram_draws_follow_the_exact_law(draw):
+    chi2, dof = _gram_chi_square(draw, GRAM_LAW_K, GRAM_LAW_L, GRAM_LAW_SEEDS)
+    assert dof == 55
+    assert chi2 < CHI2_55_Q9999, chi2
+
+
+def _weighted_pattern_gram(signs, weights):
+    """A pattern-count draw over a given table and pattern weights."""
+    def draw(dither, k, snapshots):
+        counts = dither.generator().multinomial(snapshots,
+                                                weights / weights.sum())
+        return (signs * counts) @ signs.T
+    return draw
+
+
+@pytest.mark.parametrize("draw", [
+    _weighted_pattern_gram(_sign_patterns(3)[:, 1:], np.ones(3)),
+    _weighted_pattern_gram(_sign_patterns(3), np.array([2.0, 1.0, 1.0, 1.0]))],
+    ids=["one-pattern-dropped", "one-pattern-twice-as-likely"])
+def test_dither_gram_law_test_rejects_a_wrong_pattern_table(draw):
+    chi2, _ = _gram_chi_square(draw, GRAM_LAW_K, GRAM_LAW_L, GRAM_LAW_SEEDS)
+    assert chi2 > CHI2_55_Q9999, chi2
 
 
 @pytest.mark.parametrize("dof", [0, 1, 2, 3, 10])
