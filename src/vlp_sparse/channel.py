@@ -111,21 +111,19 @@ class PairIndexMap:
     m: int
     first: np.ndarray  # (M(M+1)/2,) anchor i of each row
     second: np.ndarray  # (M(M+1)/2,) anchor j of each row
+    diagonal_rows: np.ndarray  # (M,) rows with i == j
 
     @classmethod
     def for_anchor_count(cls, m: int) -> "PairIndexMap":
         first, second = np.triu_indices(m)
-        first.setflags(write=False)
-        second.setflags(write=False)
-        return cls(m=m, first=first, second=second)
+        diagonal = np.nonzero(first == second)[0]
+        for index in (first, second, diagonal):
+            index.setflags(write=False)
+        return cls(m=m, first=first, second=second, diagonal_rows=diagonal)
 
     @property
     def n_pairs(self) -> int:
         return self.m * (self.m + 1) // 2
-
-    @property
-    def diagonal_rows(self) -> np.ndarray:
-        return np.nonzero(self.first == self.second)[0]
 
 
 def build_correlation_fingerprint(gains: np.ndarray) -> tuple[np.ndarray, PairIndexMap]:

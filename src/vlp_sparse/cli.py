@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -38,7 +39,7 @@ def _fmt(value) -> str:
 
 def _write_json(path: str, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -55,14 +56,15 @@ def _write_matrix_csv(path: str, matrix: np.ndarray) -> None:
 
 
 def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, float) and not np.isfinite(value):
-        return None
+    """Standard JSON: numpy to Python, +-inf as "inf"/"-inf" as in CSV, NaN null."""
+    if isinstance(value, dict):
+        return {key: _jsonable(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None if math.isnan(value) else ("inf" if value > 0 else "-inf")
     return value
 
 
@@ -122,11 +124,11 @@ def cmd_simulate(config: SceneConfig, out_dir: str,
         "scheme": config.scheme,
         "error_m": result.error_m,
         "exact_support": bool(result.exact_support),
-        "snr_db": _jsonable(result.snr_db),
+        "snr_db": result.snr_db,
         "snapshots": result.snapshots,
-        "support": _jsonable(result.support),
-        "true_positions": _jsonable(result.true_positions),
-        "est_positions": _jsonable(aligned),
+        "support": result.support,
+        "true_positions": result.true_positions,
+        "est_positions": aligned,
     })
     written = [scatter_path, trial_path]
 
@@ -205,18 +207,11 @@ def cmd_sweep(config: SceneConfig, out_dir: str, k_list, snr_list,
     return 0
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_list(text: str, kind, what: str) -> list:
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
+        return [kind(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got '{text}'") from None
-
-
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got '{text}'") from None
+        raise ConfigError(f"expected comma-separated {what}, got '{text}'") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -295,8 +290,8 @@ def main(argv=None) -> int:
             trials = manifest["sweep"]["trials"]
         elif args.command == "sweep":
             config = _effective_config(args)
-            k_list = _parse_int_list(args.K_list)
-            snr_list = _parse_float_list(args.snr_list)
+            k_list = _parse_list(args.K_list, int, "integers")
+            snr_list = _parse_list(args.snr_list, float, "numbers")
             trials = args.trials
         else:
             config = _effective_config(args)

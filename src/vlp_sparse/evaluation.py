@@ -15,7 +15,6 @@ results that are independent of the job count.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -32,7 +31,7 @@ from .measurement import (POWER, DitherPlan, MeasurementVector,
                           synthesize_snapshot_correlation)
 # unused here, but perfbench/spans.py times the power synthesis under this name
 from .measurement import synthesize_snapshot_power  # noqa: F401
-from .recovery import locate_cocsm, locate_csm
+from .recovery import Dictionary, locate_cocsm, locate_csm
 from .scenario import (SCHEMES, ConfigError, GridModel, LedAnchor, SceneConfig,
                        build_grid, check_targets_k, place_leds,
                        realized_snr_db, sample_targets, snr_to_noise_variance)
@@ -40,7 +39,7 @@ from .scenario import (SCHEMES, ConfigError, GridModel, LedAnchor, SceneConfig,
 
 @dataclass(frozen=True)
 class Scene:
-    """Everything derived from a config that is shared across trials."""
+    """Everything derived from a config that trials share, read-only."""
 
     config: SceneConfig
     grid: GridModel
@@ -49,16 +48,11 @@ class Scene:
     gains: np.ndarray  # (M, N)
     corr_fp: np.ndarray  # (M(M+1)/2, N)
     pairs: PairIndexMap
-
-    @property
-    def power_fp(self) -> np.ndarray:
-        """(M, N) power fingerprint: the diagonal-pair rows of ``corr_fp``."""
-        return self.corr_fp[self.pairs.diagonal_rows]
-
-    @property
-    def gain_model(self) -> GainModel:
-        return GainModel(self.leds, self.config.pd, self.m,
-                         self.config.receiver_height)
+    power_fp: np.ndarray  # (M, N): the diagonal-pair rows of corr_fp
+    gain_model: GainModel
+    corr_dict: Dictionary  # solver data of corr_fp
+    power_dict: Dictionary  # solver data of power_fp
+    lateration: Lateration  # the baseline's per-mask solves
 
 
 def build_scene(config: SceneConfig) -> Scene:
@@ -67,8 +61,15 @@ def build_scene(config: SceneConfig) -> Scene:
     m = lambertian_order(config.half_power_angle)
     gains = build_gain_matrix(leds, grid, config.pd, m)
     corr_fp, pairs = build_correlation_fingerprint(gains)
+    power_fp = corr_fp[pairs.diagonal_rows]
+    anchors = led_positions(leds)
+    for array in (gains, corr_fp, power_fp, anchors):
+        array.setflags(write=False)
     return Scene(config=config, grid=grid, leds=leds, m=m, gains=gains,
-                 corr_fp=corr_fp, pairs=pairs)
+                 corr_fp=corr_fp, pairs=pairs, power_fp=power_fp,
+                 gain_model=GainModel(leds, config.pd, m, config.receiver_height),
+                 corr_dict=Dictionary.of(corr_fp), power_dict=Dictionary.of(power_fp),
+                 lateration=Lateration(anchors, config.receiver_height))
 
 
 @dataclass(frozen=True)
@@ -151,16 +152,35 @@ def gain_to_range(gain, vertical_gap, pd, m: float):
     return (coeff * vertical_gap ** (m + 1.0) / gain) ** (1.0 / (m + 3.0))
 
 
-@functools.lru_cache(maxsize=None)
-def _anchor_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays ``(i, j)``, ``i < j``, over ``n`` usable anchors.
+@dataclass(frozen=True, eq=False)
+class Lateration:
+    """Pairwise-differenced circle equations of one anchor layout: each usable
+    mask's least-squares map is built on first use and kept (``MAX_MASKS``)."""
 
-    They depend only on the count, which is at most the anchor count, so
-    they are built once per count; read-only because every caller shares them.
-    """
-    i, j = np.triu_indices(n, k=1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
+    MAX_MASKS = 64
+    anchors: np.ndarray  # (M, 3)
+    receiver_height: float
+    solves: dict = field(default_factory=dict, init=False, repr=False)
+
+    def for_mask(self, mask: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Over the n anchors of boolean ``mask``: (n, 1) squared x-y norms and
+        vertical gaps, and the (2, n) map from ``|a|^2 - r^2`` to the position."""
+        solve = self.solves.get(mask.tobytes())
+        if solve is None:
+            pos = self.anchors[mask]
+            i, j = np.triu_indices(len(pos), k=1)
+            design = 2.0 * (pos[i, :2] - pos[j, :2])
+            if np.linalg.matrix_rank(design) < 2:  # lstsq(rcond=None)'s rule
+                raise ValueError("anchor geometry is collinear")
+            eye = np.eye(len(pos))
+            solve = ((pos[:, 0] ** 2 + pos[:, 1] ** 2)[:, None],
+                     (pos[:, 2] - self.receiver_height)[:, None],
+                     np.linalg.pinv(design) @ (eye[i] - eye[j]))
+            for array in solve:
+                array.setflags(write=False)
+            if len(self.solves) < self.MAX_MASKS:
+                self.solves[mask.tobytes()] = solve
+        return solve
 
 
 def rss_baseline_locate(rss, leds, pd, m: float,
@@ -169,35 +189,28 @@ def rss_baseline_locate(rss, leds, pd, m: float,
 
     ``rss`` holds noise-floor-removed squared gains, (M,) for one target or
     (M, K) with one column per target; anchors with nonpositive entries are
-    unusable.  Every target needs at least three usable, non-collinear
-    anchors.  Targets with the same usable anchors share one least-squares
-    solve.  Returns (2,) or (K, 2) positions.
+    unusable.  ``leds`` are the anchors or a scene's :class:`Lateration`.
+    Every target needs at least three usable, non-collinear anchors; targets
+    with the same usable anchors share one solve.  Returns (2,) or (K, 2).
     """
     rss = np.asarray(rss, dtype=float)
     columns = rss.reshape(rss.shape[0], -1)
     usable = columns > 0
     if np.any(usable.sum(axis=0) < 3):
         raise ValueError("fewer than 3 anchors with positive RSS")
-    anchors = led_positions(leds)
+    lateration = (leds if isinstance(leds, Lateration)
+                  else Lateration(led_positions(leds), receiver_height))
     positions = np.empty((columns.shape[1], 2))
     groups: dict[bytes, list[int]] = {}
     for t, column in enumerate(usable.T):
         groups.setdefault(column.tobytes(), []).append(t)
     for targets in groups.values():
         mask = usable[:, targets[0]]
-        pos = anchors[mask]
-        vertical_gap = (pos[:, 2] - receiver_height)[:, None]
+        anchor_sq, vertical_gap, weights = lateration.for_mask(mask)
         dist = gain_to_range(np.sqrt(columns[mask][:, targets]), vertical_gap,
                              pd, m)
         range_sq = np.maximum(dist * dist - vertical_gap * vertical_gap, 0.0)
-        i, j = _anchor_pairs(pos.shape[0])
-        design = 2.0 * (pos[i, :2] - pos[j, :2])
-        anchor_sq = (pos[:, 0] ** 2 + pos[:, 1] ** 2)[:, None]
-        rhs = (anchor_sq[i] - range_sq[i]) - (anchor_sq[j] - range_sq[j])
-        solution, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
-        if rank < 2:
-            raise ValueError("anchor geometry is collinear")
-        positions[targets] = solution.T
+        positions[targets] = (weights @ (anchor_sq - range_sq)).T
     return positions if rss.ndim > 1 else positions[0]
 
 
@@ -209,10 +222,10 @@ def _locate_cs(scheme: str, scene: Scene, config: SceneConfig, k: int,
     if scheme == "csm":
         meas = MeasurementVector(corr.values[scene.pairs.diagonal_rows], POWER,
                                  noise_variance, config.snapshots)
-        loc = locate_csm(meas, scene.power_fp, k, noise_variance, scene.grid,
+        loc = locate_csm(meas, scene.power_dict, k, noise_variance, scene.grid,
                          solver=config.solver, gain_model=scene.gain_model)
     else:
-        loc = locate_cocsm(meas, scene.corr_fp, k, noise_variance, scene.grid,
+        loc = locate_cocsm(meas, scene.corr_dict, k, noise_variance, scene.grid,
                            scene.pairs, solver=config.solver,
                            gain_model=scene.gain_model)
     return loc.positions, loc.support, meas
@@ -228,7 +241,7 @@ def _locate_baseline(scene: Scene, config: SceneConfig,
     rss = remove_noise_floor(
         MeasurementVector(powers, POWER, noise_variance, config.snapshots),
         noise_variance).values
-    positions = rss_baseline_locate(rss, scene.leds, config.pd, scene.m,
+    positions = rss_baseline_locate(rss, scene.lateration, config.pd, scene.m,
                                     config.receiver_height)
     support = np.sort(scene.grid.cell_of(positions))
     return positions, support, measurements

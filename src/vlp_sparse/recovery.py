@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.optimize import least_squares, nnls
 
 from .channel import GainModel, PairIndexMap
 from .measurement import CORRELATION, POWER, MeasurementVector, remove_noise_floor
-from .scenario import GridModel, realized_snr_db
+from .scenario import SOLVERS, GridModel, realized_snr_db
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,37 @@ class LocalizationResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def omp(A: np.ndarray, b: np.ndarray, k: int) -> SparseSolution:
+@dataclass(frozen=True, eq=False)
+class Dictionary:
+    """A dictionary matrix and the read-only column data its solves read."""
+
+    matrix: np.ndarray  # (rows, cols)
+    columns: np.ndarray  # matrix.T, C-contiguous: column j is a row
+    norms: np.ndarray  # column norms, 1 for zero columns
+    inv_norms: np.ndarray  # 1 / norm, 0 for zero columns
+    tolerance: np.ndarray  # rows * eps * norm: omp's rank test
+    unit: np.ndarray  # matrix / norms
+    nonzero: bool  # any column nonzero
+
+    @classmethod
+    def of(cls, A) -> "Dictionary":
+        """``A`` itself if it is one already, else the data of matrix ``A``."""
+        if isinstance(A, cls):
+            return A
+        matrix = np.asarray(A, dtype=float).view()
+        norms = np.sqrt(np.einsum("ij,ij->j", matrix, matrix))
+        nonzero = norms > 0
+        inv_norms = np.divide(1.0, norms, out=np.zeros(norms.size), where=nonzero)
+        tolerance = matrix.shape[0] * np.finfo(float).eps * norms
+        norms = np.where(nonzero, norms, 1.0)
+        arrays = (matrix, np.ascontiguousarray(matrix.T), norms, inv_norms,
+                  tolerance, matrix / norms)
+        for array in arrays:
+            array.setflags(write=False)
+        return cls(*arrays, nonzero=bool(nonzero.any()))
+
+
+def omp(A: np.ndarray | Dictionary, b: np.ndarray, k: int) -> SparseSolution:
     """Orthogonal matching pursuit: exactly ``k`` greedy selections.
 
     Each pick scores every column by ``|a_j^T r| / ||a_j||``, the
@@ -82,55 +112,55 @@ def omp(A: np.ndarray, b: np.ndarray, k: int) -> SparseSolution:
     of the largest singular value of the selected columns, so the test
     does not depend on how the columns are scaled.
     """
-    A = np.asarray(A, dtype=float)
+    D = Dictionary.of(A)
     b = np.asarray(b, dtype=float).ravel()
-    rows, cols = A.shape
+    rows, cols = D.matrix.shape
     if not 1 <= k <= min(rows, cols):
         raise ValueError(f"k={k} must be in [1, min(rows, cols)={min(rows, cols)}]")
-    norms = np.sqrt(np.einsum("ij,ij->j", A, A))
-    if not np.any(norms > 0):
+    if not D.nonzero:
         raise ValueError("dictionary has no nonzero column")
     if np.linalg.norm(b) == 0:
         raise ValueError("zero measurement: support of size k is undefined")
-    inv_norms = np.divide(1.0, norms, out=np.zeros(cols), where=norms > 0)
-    tolerance = rows * np.finfo(float).eps * norms
-    taken = np.zeros(cols, dtype=bool)  # selected or rejected
 
     q_rows = np.empty((k, rows))  # Q^T, one orthonormal row per pick
     r_upper = np.zeros((k, k))
+    taken: list[int] = []  # selected or rejected
     selected: list[int] = []
     residual = b.copy()
     for n in range(k):
-        scores = np.abs(A.T @ residual) * inv_norms
+        scores = np.abs(D.matrix.T @ residual) * D.inv_norms
         scores[taken] = -1.0
         kept = q_rows[:n]
         while True:
-            j = int(np.argmax(scores))  # first maximum: lowest index
+            j = int(scores.argmax())  # first maximum: lowest index
             if scores[j] < 0:
                 raise ValueError("fewer than k linearly independent columns available")
-            taken[j] = True
+            taken.append(j)
             scores[j] = -1.0
-            q = A[:, j].copy()
-            h = kept @ q
-            q -= h @ kept
-            h2 = kept @ q
-            q -= h2 @ kept
-            remainder = float(np.linalg.norm(q))
-            if remainder > tolerance[j]:
+            q = D.columns[j].copy()
+            if n:  # the first pick has nothing to project out
+                h = kept @ q
+                q -= h @ kept
+                h2 = kept @ q
+                q -= h2 @ kept
+            remainder = math.sqrt(q @ q)
+            if remainder > D.tolerance[j]:
                 break
         q /= remainder
         q_rows[n] = q
-        r_upper[:n, n] = h + h2
+        if n:
+            r_upper[:n, n] = h + h2
         r_upper[n, n] = remainder
         residual -= q * (q @ residual)
         selected.append(j)
-    coef = solve_triangular(r_upper, q_rows @ b)
+    # solve_triangular's LAPACK call minus its wrapper; R's diagonal is positive
+    coef, _ = dtrtrs(r_upper.T, q_rows @ b, lower=1, trans=1)
     return SparseSolution(support=np.array(selected), coefficients=coef,
-                          residual_norm=float(np.linalg.norm(residual)),
+                          residual_norm=math.sqrt(residual @ residual),
                           iterations=len(selected))
 
 
-def nnls_top_k(A: np.ndarray, b: np.ndarray, k: int) -> SparseSolution:
+def nnls_top_k(A: np.ndarray | Dictionary, b: np.ndarray, k: int) -> SparseSolution:
     """Nonnegative least squares on unit-normalized columns, top ``k`` cells.
 
     Solves ``min ||A_unit x - b||`` subject to ``x >= 0`` with scipy's
@@ -141,24 +171,22 @@ def nnls_top_k(A: np.ndarray, b: np.ndarray, k: int) -> SparseSolution:
     ``ValueError`` on a zero measurement or when the active set does not
     settle within scipy's iteration limit.
     """
-    A = np.asarray(A, dtype=float)
+    D = Dictionary.of(A)
     b = np.asarray(b, dtype=float).ravel()
-    cols = A.shape[1]
+    cols = D.matrix.shape[1]
     if not 1 <= k <= cols:
         raise ValueError(f"k={k} must be in [1, {cols}]")
-    norms = np.linalg.norm(A, axis=0)
-    if not np.any(norms > 0):
+    if not D.nonzero:
         raise ValueError("dictionary has no nonzero column")
     if np.linalg.norm(b) == 0:
         raise ValueError("zero measurement: support of size k is undefined")
-    norms = np.where(norms > 0, norms, 1.0)
     try:
-        x, _ = nnls(A / norms, b)
+        x, _ = nnls(D.unit, b)
     except RuntimeError as exc:  # iteration limit
         raise ValueError(f"nnls: {exc}") from None
-    theta = x / norms
+    theta = x / D.norms
     support = np.lexsort((np.arange(cols), -theta))[:k]
-    residual = b - A[:, support] @ theta[support]
+    residual = b - D.matrix[:, support] @ theta[support]
     # scipy reports no iteration count: one active-set solve
     return SparseSolution(support=support, coefficients=theta[support],
                           residual_norm=float(np.linalg.norm(residual)),
@@ -234,14 +262,6 @@ def recoverability_advisory(m_eff: int, n: float, k: int) -> RecoveryAdvisory:
                             ratio=ratio, flagged=ratio < 1.0)
 
 
-def _solve(A: np.ndarray, b: np.ndarray, k: int, solver: str) -> SparseSolution:
-    if solver == "omp":
-        return omp(A, b, k)
-    if solver == "nnls":
-        return nnls_top_k(A, b, k)
-    raise ValueError(f"unknown solver '{solver}'")
-
-
 def _distinct_cells(grid: GridModel, xy: np.ndarray) -> np.ndarray:
     """Containing cells of ``xy`` (K, 2), made distinct.
 
@@ -265,18 +285,20 @@ def _distinct_cells(grid: GridModel, xy: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _locate(scheme: str, fp: np.ndarray, b: np.ndarray, k: int,
+def _locate(scheme: str, fp: np.ndarray | Dictionary, b: np.ndarray, k: int,
             noise_variance: float, grid: GridModel, first: np.ndarray,
             second: np.ndarray, solver: str,
             gain_model: GainModel | None) -> LocalizationResult:
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver '{solver}'")
     if solver == "nnls" and gain_model is None:
         raise ValueError("the nnls solver needs the continuous gain model")
-    solution = _solve(fp, b, k, solver)
+    fp = Dictionary.of(fp)
+    solution = (omp if solver == "omp" else nnls_top_k)(fp, b, k)
     diagnostics = {"snr_db": realized_snr_db(float(np.mean(b)), noise_variance),
                    "residual_norm": solution.residual_norm,
                    "solver": solver,
-                   "advisory": recoverability_advisory(fp.shape[0],
-                                                       fp.shape[1], k),
+                   "advisory": recoverability_advisory(*fp.matrix.shape, k),
                    "solution": solution}
     support = solution.support
     if solver == "nnls":
@@ -289,8 +311,8 @@ def _locate(scheme: str, fp: np.ndarray, b: np.ndarray, k: int,
                               diagnostics=diagnostics)
 
 
-def locate_csm(meas: MeasurementVector, power_fp: np.ndarray, k: int,
-               noise_variance: float, grid: GridModel, solver: str = "omp",
+def locate_csm(meas: MeasurementVector, power_fp: np.ndarray | Dictionary,
+               k: int, noise_variance: float, grid: GridModel, solver: str = "omp",
                gain_model: GainModel | None = None) -> LocalizationResult:
     """Power-measurement pipeline: floor removal, sparse solve, cells to centers.
 
@@ -299,14 +321,14 @@ def locate_csm(meas: MeasurementVector, power_fp: np.ndarray, k: int,
     if meas.model != POWER:
         raise ValueError("csm expects a power measurement")
     b = remove_noise_floor(meas, noise_variance).values
-    anchors = np.arange(power_fp.shape[0])
+    anchors = np.arange(b.size)
     return _locate("csm", power_fp, b, k, noise_variance, grid, anchors,
                    anchors, solver, gain_model)
 
 
-def locate_cocsm(meas: MeasurementVector, corr_fp: np.ndarray, k: int,
-                 noise_variance: float, grid: GridModel, pairs: PairIndexMap,
-                 solver: str = "omp",
+def locate_cocsm(meas: MeasurementVector, corr_fp: np.ndarray | Dictionary,
+                 k: int, noise_variance: float, grid: GridModel,
+                 pairs: PairIndexMap, solver: str = "omp",
                  gain_model: GainModel | None = None) -> LocalizationResult:
     """Correlation-measurement pipeline with diagonal-row floor removal.
 

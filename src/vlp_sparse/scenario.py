@@ -241,7 +241,8 @@ def config_to_dict(config: SceneConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> SceneConfig:
-    data = dict(data)
+    # JSON outputs write an infinite number as "inf" or "-inf"
+    data = {key: float(v) if v in ("inf", "-inf") else v for key, v in data.items()}
     known = {f.name for f in dataclasses.fields(SceneConfig)}
     unknown = set(data) - known
     if unknown:

@@ -334,10 +334,54 @@ def test_jobs_is_a_sweep_option_only(tmp_path, capsys, sub):
 
 def test_simulate_without_received_signal_exits_0(tmp_path, capsys):
     # a 5 degree field of view leaves this seed's target unseen by every
-    # anchor: the realized SNR is -inf, written as null, not a crash
+    # anchor: the realized SNR is -inf, written as "-inf", not a crash
     assert run_cli(["simulate", "--K", "1", "--seed", "1",
                     "--set", "pd.fov=5", "--set", "noise_variance=1e-9",
                     "--out-dir", str(tmp_path)]) == 0
     assert "Traceback" not in capsys.readouterr().err
     trial = json.loads(read(tmp_path / "trial.json"))
-    assert trial["snr_db"] is None
+    assert trial["snr_db"] == "-inf"
+
+
+def strict_json(path):
+    """Parse as standard JSON: NaN, Infinity and -Infinity are rejected."""
+    def reject(constant):
+        raise ValueError(f"{path.name}: non-standard JSON constant {constant}")
+
+    return json.loads(read(path), parse_constant=reject)
+
+
+def test_inf_snr_sweep_writes_standard_json_and_reruns(tmp_path):
+    first, second = tmp_path / "one", tmp_path / "two"
+    # a sweep derives the noise from the SNR, so an infinite config
+    # noise_variance runs; the manifest must carry it back
+    assert run_cli(["sweep", "--K-list", "2", "--snr-list", "20,inf",
+                    "--trials", "1", "--set", "snapshots=10",
+                    "--set", "noise_variance=Infinity",
+                    "--out-dir", str(first)]) == 0
+    report = strict_json(first / "report.json")
+    manifest = strict_json(first / "manifest.json")
+    assert manifest["config"]["noise_variance"] == "inf"
+    assert report["axes"]["snr_db"] == manifest["sweep"]["snr_list"] \
+        == [20.0, "inf"]
+    assert {row["snr_db"] for row in report["rows"]} == {20.0, "inf"}
+    assert run_cli(["sweep", "--from-manifest", str(first / "manifest.json"),
+                    "--out-dir", str(second)]) == 0
+    assert read(first / "report.csv") == read(second / "report.csv")
+    assert read(first / "report.json") == read(second / "report.json")
+
+
+def test_dead_cell_sweep_writes_standard_json(tmp_path, monkeypatch):
+    def collinear(*args, **kwargs):
+        raise ValueError("anchor geometry is collinear")
+
+    monkeypatch.setattr(evaluation, "rss_baseline_locate", collinear)
+    assert run_cli(["sweep", "--K-list", "2", "--snr-list", "20",
+                    "--trials", "2", "--set", "snapshots=20",
+                    "--out-dir", str(tmp_path)]) == 1
+    rows = {row["scheme"]: row
+            for row in strict_json(tmp_path / "report.json")["rows"]}
+    assert rows["rss_baseline"]["mean_error_m"] is None
+    assert rows["rss_baseline"]["std_error_m"] is None
+    assert rows["rss_baseline"]["failures"] == 2
+    strict_json(tmp_path / "manifest.json")

@@ -1,7 +1,7 @@
 import dataclasses
 import math
 import warnings
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from vlp_sparse import (ConfigError, PdOptics, SceneConfig, aligned_estimates,
                         gains_to_points, match_and_error, place_leds,
                         rss_baseline_locate, run_campaign, run_trial)
 from vlp_sparse import evaluation, measurement
-from vlp_sparse.evaluation import _anchor_pairs, _trial_rng
+from vlp_sparse.evaluation import Lateration, _trial_rng
 from vlp_sparse.recovery import LocalizationResult
 from vlp_sparse.scenario import LedAnchor
 
@@ -202,14 +202,130 @@ def test_baseline_batch_equals_column_by_column():
         np.testing.assert_allclose(batch[t], single, rtol=0, atol=1e-12)
 
 
-def test_anchor_pairs_are_the_upper_triangle_and_read_only():
+def _lstsq_lateration(rss, leds, m, receiver_height):
+    """Reference: one column at a time through ``lstsq``, nothing cached."""
+    usable = rss > 0
+    pos = np.array([led.position for led in leds])[usable]
+    gap = pos[:, 2] - receiver_height
+    dist = gain_to_range(np.sqrt(rss[usable]), gap, PD, m)
+    range_sq = np.maximum(dist * dist - gap * gap, 0.0)
+    i, j = np.triu_indices(len(pos), k=1)
+    anchor_sq = pos[:, 0] ** 2 + pos[:, 1] ** 2
+    rhs = (anchor_sq[i] - range_sq[i]) - (anchor_sq[j] - range_sq[j])
+    x, _, rank, _ = np.linalg.lstsq(2.0 * (pos[i, :2] - pos[j, :2]), rhs,
+                                    rcond=None)
+    return x, rank
+
+
+def _masked_rss(leds):
+    """Squared gains of 7 targets: the full mask, two different 15-anchor
+    masks, two different 13-anchor masks, and a repeat of each 15-anchor one."""
+    rng = np.random.default_rng(43)
+    pts = np.column_stack([rng.uniform(0.2, 3.8, (7, 2)), np.full(7, 0.85)])
+    rss = gains_to_points(leds, pts, PD, 1.0) ** 2
+    rss *= rng.uniform(0.98, 1.02, rss.shape)
+    for t, dropped in ((1, [4]), (2, [11]), (3, [0, 6, 9]), (4, [2, 7, 15]),
+                       (5, [4]), (6, [11])):
+        rss[dropped, t] = 0.0
+    return rss
+
+
+def test_mask_solves_agree_with_lstsq_column_by_column():
+    scene = build_scene(SceneConfig())
+    rss = _masked_rss(scene.leds)
+    batch = rss_baseline_locate(rss, scene.lateration, PD, scene.m, 0.85)
+    for t in range(rss.shape[1]):
+        ref, rank = _lstsq_lateration(rss[:, t], scene.leds, scene.m, 0.85)
+        assert rank == 2
+        single = rss_baseline_locate(rss[:, t], scene.lateration, PD,
+                                     scene.m, 0.85)
+        np.testing.assert_allclose(single, ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batch[t], ref, rtol=0, atol=1e-12)
+    # the scene's cached solves and a fresh lateration from the anchors agree
+    assert np.array_equal(
+        batch, rss_baseline_locate(rss, scene.leds, PD, scene.m, 0.85))
+
+
+def test_collinear_error_fires_exactly_where_lstsq_rank_is_below_2():
+    # 3-anchor masks of the 4 x 4 layout: those on one row, column or
+    # diagonal are collinear
+    leds = place_leds(SceneConfig())
+    lateration = Lateration(np.array([led.position for led in leds]), 0.85)
+    gains = gains_to_points(leds, np.array([[2.1, 1.7, 0.85]]), PD, 1.0)[:, 0]
+    collinear = 0
+    for trio in combinations(range(16), 3):
+        rss = np.zeros(16)
+        rss[list(trio)] = gains[list(trio)] ** 2
+        _, rank = _lstsq_lateration(rss, leds, 1.0, 0.85)
+        if rank < 2:
+            collinear += 1
+            with pytest.raises(ValueError, match="collinear"):
+                rss_baseline_locate(rss, lateration, PD, 1.0, 0.85)
+        else:
+            rss_baseline_locate(rss, lateration, PD, 1.0, 0.85)
+    assert collinear == 44  # 4 rows, 4 columns, 2 diagonals, 4 off-diagonals
+    assert len(lateration.solves) == Lateration.MAX_MASKS  # collinear ones kept out
+
+
+def test_scene_lateration_keeps_the_baseline_errors():
+    scene = build_scene(SceneConfig())
+    with pytest.raises(ValueError, match="positive RSS"):
+        rss_baseline_locate(np.zeros(16), scene.lateration, PD, scene.m, 0.85)
+    gains = gains_to_points(scene.leds, np.array([[2.1, 1.7, 0.85]]), PD,
+                            scene.m)[:, 0]
+    rss = np.where(np.arange(16) < 4, gains ** 2, 0.0)  # one row of anchors
+    with pytest.raises(ValueError, match="collinear"):
+        rss_baseline_locate(rss, scene.lateration, PD, scene.m, 0.85)
+
+
+def test_mask_solves_stay_within_their_bound():
+    scene = build_scene(SceneConfig())
+    lateration = scene.lateration
+    gains = gains_to_points(scene.leds, np.array([[1.3, 2.2, 0.85]]), PD,
+                            scene.m)[:, 0]
+    masks = [np.isin(np.arange(16), pair, invert=True)
+             for pair in combinations(range(16), 2)]  # 120 14-anchor masks
+    for mask in masks + masks:
+        rss = np.where(mask, gains ** 2, 0.0)
+        est = rss_baseline_locate(rss, lateration, PD, scene.m, 0.85)
+        assert len(lateration.solves) <= Lateration.MAX_MASKS
+        np.testing.assert_allclose(est, [1.3, 2.2], rtol=0, atol=1e-9)
+    assert len(lateration.solves) == Lateration.MAX_MASKS
+
+
+def test_mask_solves_difference_the_upper_triangle_and_are_read_only():
+    lateration = build_scene(SceneConfig()).lateration
+    rng = np.random.default_rng(44)
     for n in (3, 13, 16):
-        i, j = _anchor_pairs(n)
-        expected = np.triu_indices(n, k=1)
-        assert np.array_equal(i, expected[0]) and np.array_equal(j, expected[1])
-        assert _anchor_pairs(n)[0] is i  # built once per count
+        mask = np.isin(np.arange(16), [0, 1, 4] if n == 3 else range(n))
+        solve = lateration.for_mask(mask)
+        # the map is the least-squares solve of the pairs i < j, differenced
+        pos = lateration.anchors[mask]
+        i, j = np.triu_indices(n, k=1)
+        x = rng.uniform(-5.0, 5.0, n)
+        ref, _, _, _ = np.linalg.lstsq(2.0 * (pos[i, :2] - pos[j, :2]),
+                                       x[i] - x[j], rcond=None)
+        np.testing.assert_allclose(solve[2] @ x, ref, rtol=0, atol=1e-12)
+        assert lateration.for_mask(mask.copy()) is solve  # built once per mask
+        for array in solve:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+
+def test_scene_arrays_are_read_only():
+    scene = build_scene(SceneConfig())
+    arrays = [scene.gains, scene.corr_fp, scene.power_fp, scene.grid.centers,
+              scene.pairs.first, scene.pairs.second, scene.pairs.diagonal_rows,
+              scene.lateration.anchors]
+    for data in (scene.corr_dict, scene.power_dict):
+        arrays += [data.matrix, data.columns, data.norms, data.inv_norms,
+                   data.tolerance, data.unit]
+    for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
-            i[0] = 1
+            array.flat[0] = 1.0
+    assert scene.corr_dict.matrix is not scene.corr_fp  # a view: flags its own
+    assert np.shares_memory(scene.corr_dict.matrix, scene.corr_fp)
+    assert np.shares_memory(scene.power_dict.matrix, scene.power_fp)
 
 
 def test_baseline_batch_recovers_noiseless_targets():

@@ -14,7 +14,7 @@ from vlp_sparse import (DitherPlan, MeasurementVector, SceneConfig,
 from vlp_sparse.channel import PairIndexMap
 from vlp_sparse import recovery
 from vlp_sparse.evaluation import run_trial
-from vlp_sparse.recovery import SparseSolution, _distinct_cells
+from vlp_sparse.recovery import Dictionary, SparseSolution, _distinct_cells
 from vlp_sparse.scenario import GridModel
 
 
@@ -198,7 +198,8 @@ def fingerprint_instances(scene, monkeypatch):
     """(A, b, k) of every csm and cocsm ``omp`` call in real trials.
 
     Trials as ``run_trial`` draws them at L = 100 and 10^4, K = 1..10 and
-    10 and 20 dB: 320 instances.
+    10 and 20 dB: 320 instances.  ``A`` is the scene's prebuilt
+    :class:`Dictionary` that the trial passed.
     """
     calls = []
     solve = recovery.omp
@@ -251,11 +252,48 @@ def test_omp_supports_equal_reference_in_order(scene, monkeypatch):
     instances.extend(tied_instances(rng))
     instances.append(ill_conditioned_instance())
     for A, b, k in instances:
-        sol, ref = omp(A, b, k), _reference_omp(A, b, k)
+        sol, ref = omp(A, b, k), _reference_omp(Dictionary.of(A).matrix, b, k)
         assert sol.support.tolist() == ref.support.tolist()
         assert sol.iterations == ref.iterations == k
         assert sol.residual_norm == pytest.approx(ref.residual_norm,
                                                   rel=1e-12, abs=1e-14)
+
+
+def test_prebuilt_dictionary_solves_equal_raw_matrix_solves(scene,
+                                                            monkeypatch):
+    # every instance comes with the scene's prebuilt data; csm and cocsm
+    # calls alternate, so both fingerprints are covered
+    instances = fingerprint_instances(scene, monkeypatch)
+    built = {id(scene.corr_dict): 0, id(scene.power_dict): 0}
+    for data, b, k in instances:
+        built[id(data)] += 1
+        fast, raw = omp(data, b, k), omp(data.matrix, b, k)
+        assert np.array_equal(fast.support, raw.support)
+        assert np.array_equal(fast.coefficients, raw.coefficients)
+        assert fast.residual_norm == raw.residual_norm
+    assert min(built.values()) >= 150
+    for data, b, k in instances[::8]:
+        fast, raw = nnls_top_k(data, b, k), nnls_top_k(data.matrix, b, k)
+        assert np.array_equal(fast.support, raw.support)
+        assert np.array_equal(fast.coefficients, raw.coefficients)
+        assert fast.residual_norm == raw.residual_norm
+
+
+def test_dictionary_norms_match_the_column_norms(scene):
+    for fp, data in ((scene.corr_fp, scene.corr_dict),
+                     (scene.power_fp, scene.power_dict)):
+        norms = np.linalg.norm(fp, axis=0)
+        assert np.array_equal(data.norms, norms)
+        assert np.array_equal(data.inv_norms, 1.0 / norms)
+        assert np.array_equal(data.unit, fp / norms)
+        assert np.array_equal(data.columns, fp.T)
+        assert data.columns.flags.c_contiguous
+    A = np.array([[1.0, 0.0, 3.0], [2.0, 0.0, 4.0]])
+    data = Dictionary.of(A)
+    assert Dictionary.of(data) is data
+    assert data.inv_norms[1] == 0.0 and data.norms[1] == 1.0
+    assert data.nonzero and not Dictionary.of(np.zeros((2, 3))).nonzero
+    assert A.flags.writeable  # the caller's matrix keeps its flags
 
 
 def test_omp_coefficients_equal_least_squares_on_the_support(scene,
@@ -264,7 +302,7 @@ def test_omp_coefficients_equal_least_squares_on_the_support(scene,
     instances.append(ill_conditioned_instance())
     for A, b, k in instances:
         sol = omp(A, b, k)
-        cols = A[:, sol.support]
+        cols = Dictionary.of(A).matrix[:, sol.support]
         x, _, _, _ = np.linalg.lstsq(cols, b, rcond=None)
         assert np.linalg.norm(sol.coefficients - x) \
             <= 1e-10 * np.linalg.norm(x)
