@@ -1,15 +1,15 @@
 """Lambertian line-of-sight channel and fingerprint matrices.
 
-A downward LED and an upward photodetector share one geometry angle: with
-vertical separation ``dz`` and link distance ``d`` both the emission angle
-and the incidence angle have cosine ``dz / d``.  The gain of one link is
+A downward LED and an upward photodetector both face vertically, so with
+vertical separation ``dz`` and link distance ``d`` the emission and
+incidence cosines are both ``dz / d``, and the Lambertian link gain (Kahn
+and Barry 1997) is
 
-    h = (1 / d^2) * R_o(alpha) * A_eff(phi)
+    g = C dz^(m+1) / d^(m+3),   C = (m+1)/(2 pi) * area * filter * concentrator
 
-with ``R_o`` the Lambertian radiant intensity and ``A_eff`` the effective
-detection area (zero beyond the field of view).  Gains are real and
-nonnegative; the correlation fingerprint takes products over anchor pairs,
-and its i == j rows, the squared gains, are the power fingerprint.
+and exactly 0 where ``dz / d < cos(fov)``.  Gains are real and nonnegative;
+the correlation fingerprint takes products over anchor pairs, and its
+i == j rows, the squared gains, are the power fingerprint.
 """
 
 from __future__ import annotations
@@ -30,18 +30,23 @@ def lambertian_order(half_power_angle_deg: float) -> float:
     return -math.log(2.0) / math.log(math.cos(math.radians(half_power_angle_deg)))
 
 
-def radiant_intensity(m: float, alpha):
-    """Radiant intensity (1/sr) at emission angle ``alpha`` (radians, |alpha| <= pi/2)."""
-    return (m + 1.0) / (2.0 * math.pi) * np.cos(alpha) ** m
+def gain_coefficient(pd: PdOptics, m: float) -> float:
+    """The link law's ``C = (m+1)/(2 pi) * area * filter * concentrator``."""
+    return (m + 1.0) / (2.0 * math.pi) * pd.detector_area * pd.filter_gain \
+        * pd.concentrator_gain
 
 
-def effective_area(phi, pd: PdOptics):
-    """Effective detection area (m^2) at incidence angle ``phi`` (radians).
-
-    Hard zero beyond the field of view; the boundary angle itself is inside.
-    """
-    area = pd.detector_area * pd.filter_gain * pd.concentrator_gain * np.cos(phi)
-    return np.where(phi <= math.radians(pd.fov), area, 0.0)
+def _links(anchors: np.ndarray, points: np.ndarray, pd: PdOptics, m: float):
+    """Offsets ``anchor - point`` (M, P, 3), squared distances and gains (M, P)."""
+    delta = anchors[:, None, :] - points[None, :, :]
+    dz = delta[:, :, 2]
+    if np.any(dz <= 0):
+        raise ValueError("receiver points must lie strictly below the LED plane")
+    dist_sq = np.sum(delta * delta, axis=2)
+    gains = gain_coefficient(pd, m) * dz ** (m + 1.0) / np.sqrt(dist_sq) ** (m + 3.0)
+    # sin(90 - fov) is cos(fov), and exactly 0 at fov = 90 degrees
+    gains[dz * dz < math.sin(math.radians(90.0 - pd.fov)) ** 2 * dist_sq] = 0.0
+    return delta, dist_sq, gains
 
 
 def gains_to_points(leds: Sequence[LedAnchor], points: np.ndarray,
@@ -52,15 +57,7 @@ def gains_to_points(leds: Sequence[LedAnchor], points: np.ndarray,
     link from anchor i to point p.  Points must lie strictly below the LEDs.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    anchors = led_positions(leds)  # (M, 3)
-    delta = anchors[:, None, :] - points[None, :, :]
-    dz = delta[:, :, 2]
-    if np.any(dz <= 0):
-        raise ValueError("receiver points must lie strictly below the LED plane")
-    dist = np.sqrt(np.sum(delta * delta, axis=2))
-    # sqrt rounding can push dz/dist a hair above 1 on nadir links
-    angle = np.arccos(np.minimum(dz / dist, 1.0))
-    return radiant_intensity(m, angle) * effective_area(angle, pd) / (dist * dist)
+    return _links(led_positions(leds), points, pd, m)[2]
 
 
 @dataclass(frozen=True)
@@ -76,19 +73,23 @@ class GainModel:
     m: float
     height: float  # receiver plane
 
+    def _points(self, xy: np.ndarray) -> np.ndarray:
+        xy = np.atleast_2d(np.asarray(xy, dtype=float))
+        return np.column_stack([xy, np.full(xy.shape[0], self.height)])
+
+    def gains(self, xy: np.ndarray) -> np.ndarray:
+        """Gains (M, P) at receiver positions ``xy`` (P, 2)."""
+        return gains_to_points(self.leds, self._points(xy), self.pd, self.m)
+
     def gains_and_gradients(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gains (M, P) at receiver positions ``xy`` (P, 2) and their gradients.
 
-        For a vertical link ``g = C dz^(m+1) / d^(m+3)``, so the gradient with
-        respect to the receiver position is ``(m+3) g (a - p) / d^2``; it is
-        zero wherever the link lies outside the field of view.  Returns the
+        The gradient of the link law with respect to the receiver position is
+        ``(m+3) g (a - p) / d^2``, zero wherever the gain is.  Returns the
         gradients as (M, P, 2).
         """
-        xy = np.atleast_2d(np.asarray(xy, dtype=float))
-        points = np.column_stack([xy, np.full(xy.shape[0], self.height)])
-        gains = gains_to_points(self.leds, points, self.pd, self.m)
-        delta = led_positions(self.leds)[:, None, :] - points[None, :, :]
-        dist_sq = np.sum(delta * delta, axis=2)
+        delta, dist_sq, gains = _links(led_positions(self.leds),
+                                       self._points(xy), self.pd, self.m)
         grads = ((self.m + 3.0) * gains / dist_sq)[:, :, None] * delta[:, :, :2]
         return gains, grads
 

@@ -24,7 +24,8 @@ from scipy.optimize import linear_sum_assignment
 
 from .channel import (GainModel, PairIndexMap,
                       build_correlation_fingerprint, build_gain_matrix,
-                      gains_to_points, lambertian_order, led_positions)
+                      gain_coefficient, gains_to_points, lambertian_order,
+                      led_positions)
 from .measurement import (POWER, DitherPlan, MeasurementVector,
                           indicator_from_cells, remove_noise_floor,
                           synthesize_single_target_powers,
@@ -142,14 +143,9 @@ def aligned_estimates(est, truth) -> np.ndarray:
 
 
 def gain_to_range(gain, vertical_gap, pd, m: float):
-    """Invert the vertical-orientation gain law for the link distance.
-
-    With both devices vertical, ``gain = C * dz^(m+1) / d^(m+3)`` where
-    ``C = (m+1)/(2 pi) * area * filter * concentrator``; solve for ``d``.
-    """
-    coeff = (m + 1.0) / (2.0 * math.pi) * pd.detector_area * pd.filter_gain \
-        * pd.concentrator_gain
-    return (coeff * vertical_gap ** (m + 1.0) / gain) ** (1.0 / (m + 3.0))
+    """Link distance ``d`` from ``channel``'s law ``gain = C dz^(m+1) / d^(m+3)``."""
+    return (gain_coefficient(pd, m) * vertical_gap ** (m + 1.0) / gain) \
+        ** (1.0 / (m + 3.0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -210,7 +210,7 @@ def refine_off_grid(xy: np.ndarray, b: np.ndarray, first: np.ndarray,
     scale = float(np.linalg.norm(b))
 
     def residual(v):
-        gains, _ = gain_model.gains_and_gradients(v.reshape(k, 2))
+        gains = gain_model.gains(v.reshape(k, 2))
         return (np.sum(gains[first] * gains[second], axis=1) - b) / scale
 
     def jacobian(v):

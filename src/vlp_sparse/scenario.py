@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,6 +29,24 @@ def _require(cond: bool, key: str, message: str) -> None:
         raise ConfigError(f"{key}: {message}")
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _require_field_types(config) -> None:
+    """Reject by name a float field that holds no real number, an int field
+    no integer, or a bool field no bool; a bool is no number."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.type == "float":
+            _require(_is_real(value), f.name, f"must be a real number, got {value!r}")
+        elif f.type == "int":
+            _require(_is_real(value) and isinstance(value, numbers.Integral),
+                     f.name, f"must be an integer, got {value!r}")
+        elif f.type == "bool":
+            _require(isinstance(value, bool), f.name, f"must be true or false, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PdOptics:
     """Photodetector optics: physical area, optical gains and field of view."""
@@ -38,6 +57,7 @@ class PdOptics:
     fov: float = 85.0  # degrees, max incidence angle that still registers
 
     def __post_init__(self) -> None:
+        _require_field_types(self)
         _require(self.detector_area > 0, "detector_area", "must be > 0")
         _require(self.filter_gain > 0, "filter_gain", "must be > 0")
         _require(self.concentrator_gain > 0, "concentrator_gain", "must be > 0")
@@ -74,7 +94,9 @@ class SceneConfig:
     on_grid: bool = False
 
     def __post_init__(self) -> None:
-        _require(len(self.room_size) == 3 and all(s > 0 for s in self.room_size),
+        _require_field_types(self)
+        _require(len(self.room_size) == 3
+                 and all(_is_real(s) and s > 0 for s in self.room_size),
                  "room_size", "must be three positive extents (x, y, z)")
         _require(self.grid_pitch > 0, "grid_pitch", "must be > 0")
         for axis, extent in zip("xy", self.room_size[:2]):
@@ -243,12 +265,17 @@ def config_to_dict(config: SceneConfig) -> dict:
 def config_from_dict(data: dict) -> SceneConfig:
     # JSON outputs write an infinite number as "inf" or "-inf"
     data = {key: float(v) if v in ("inf", "-inf") else v for key, v in data.items()}
-    known = {f.name for f in dataclasses.fields(SceneConfig)}
-    unknown = set(data) - known
+    fields = {f.name: f.type for f in dataclasses.fields(SceneConfig)}
+    unknown = set(data) - set(fields)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        # a JSON number such as 1e4 names an integer when its value is whole
+        if fields[key] == "int" and isinstance(value, float) and value.is_integer():
+            data[key] = int(value)
     if "room_size" in data:
-        _require(isinstance(data["room_size"], (list, tuple)),
+        _require(isinstance(data["room_size"], (list, tuple))
+                 and all(_is_real(v) for v in data["room_size"]),
                  "room_size", "must be a list of three numbers")
         data["room_size"] = tuple(float(v) for v in data["room_size"])
     if "pd" in data:

@@ -5,8 +5,8 @@ import pytest
 
 from vlp_sparse import (GainModel, PdOptics, SceneConfig,
                         build_correlation_fingerprint, build_gain_matrix,
-                        build_grid, effective_area, gains_to_points,
-                        lambertian_order, place_leds, radiant_intensity)
+                        build_grid, gain_to_range, gains_to_points,
+                        lambertian_order, place_leds)
 from vlp_sparse.channel import PairIndexMap
 
 PD = PdOptics()
@@ -37,18 +37,96 @@ def test_lambertian_order_rejects_domain_edges(angle):
         lambertian_order(angle)
 
 
-def test_radiant_intensity_peak_and_half():
-    assert radiant_intensity(1.0, 0.0) == pytest.approx(1 / math.pi, rel=1e-12)
-    assert radiant_intensity(1.0, math.radians(60)) == pytest.approx(0.15915, abs=1e-5)
-    assert radiant_intensity(3.7, math.pi / 2) == pytest.approx(0.0, abs=1e-15)
+def angle_form_gain(dz, dist, pd, m):
+    """Independent oracle in the angle form: (m+1)/(2 pi) cos^m(alpha) times
+    area * gains * cos(phi) / d^2, zero beyond the field of view."""
+    angle = np.arccos(np.minimum(dz / dist, 1.0))
+    intensity = (m + 1) / (2 * math.pi) * np.cos(angle) ** m
+    area = pd.detector_area * pd.filter_gain * pd.concentrator_gain * np.cos(angle)
+    return np.where(angle <= math.radians(pd.fov), intensity * area / dist ** 2, 0.0)
 
 
-def test_effective_area_values_and_cutoff():
-    assert float(effective_area(0.0, PD)) == pytest.approx(1e-4, rel=1e-15)
-    assert float(effective_area(math.radians(60), PD)) == pytest.approx(5e-5, rel=1e-12)
-    # hard zero just beyond the field of view
-    assert float(effective_area(math.radians(85.0001), PD)) == 0.0
-    assert float(effective_area(math.radians(85.0), PD)) > 0.0
+def edge_links(led, fov_deg, offset_rad, dz):
+    """Points at vertical gaps ``dz`` below ``led`` whose links leave the
+    vertical at ``fov_deg`` degrees plus ``offset_rad`` radians."""
+    reach = dz * math.tan(math.radians(fov_deg) + offset_rad)
+    return np.column_stack([led.position[0] + reach, np.full(len(dz), led.position[1]),
+                            led.position[2] - dz])
+
+
+def test_nadir_peak_and_sixty_degree_link():
+    led = place_leds(SceneConfig())[0]
+    gap = 2.15
+    nadir = link_gain(led, led.position - [0.0, 0.0, gap], PD, 1.0)
+    # radiant intensity 1/pi at nadir times the full 1 cm^2 area
+    assert nadir == pytest.approx(1 / math.pi * 1e-4 / gap ** 2, rel=1e-13)
+    # m = 1 at 60 deg: intensity cos(60)/pi, area 1e-4 cos(60), distance 2 gap
+    sixty = edge_links(led, 60.0, 0.0, np.array([gap]))[0]
+    assert link_gain(led, sixty, PD, 1.0) == pytest.approx(
+        0.5 / math.pi * 0.5e-4 / (2 * gap) ** 2, rel=1e-12)
+    ring = np.random.default_rng(3).uniform(-2, 2, (500, 2))
+    plane = np.column_stack([led.position[:2] + ring, np.full(500, led.position[2] - gap)])
+    assert np.all(gains_to_points([led], plane, PD, 1.0) < nadir)
+
+
+def test_gain_cutoff_at_85_degree_edge():
+    led = place_leds(SceneConfig())[0]
+    gaps = np.array([0.5, 2.15])
+    assert np.all(gains_to_points([led], edge_links(led, 85.0001, 0.0, gaps), PD, 1.0) == 0.0)
+    assert np.all(gains_to_points([led], edge_links(led, 84.9999, 0.0, gaps), PD, 1.0) > 0.0)
+
+
+def test_gains_match_angle_form_on_random_links():
+    # angles up to 88 deg: beyond that the oracle's cos(arccos(x)) alone
+    # loses about 1e-16 / x relative, more than the tolerance
+    rng = np.random.default_rng(16)
+    led = place_leds(SceneConfig())[5]
+    for fov in (20.0, 37.5, 55.0, 72.5, 85.0, 90.0):
+        for m in (0.65, 1.7, 4.82):
+            pd = PdOptics(detector_area=rng.uniform(1e-5, 1e-3),
+                          filter_gain=rng.uniform(0.5, 2.0),
+                          concentrator_gain=rng.uniform(1.0, 3.0), fov=fov)
+            dz = rng.uniform(0.05, 2.95, 12000)
+            reach = dz * np.tan(np.radians(rng.uniform(0.0, 88.0, 12000)))
+            azimuth = rng.uniform(0.0, 2 * math.pi, 12000)
+            pts = led.position - np.column_stack([reach * np.cos(azimuth),
+                                                  reach * np.sin(azimuth), dz])
+            delta = led.position - pts
+            expected = angle_form_gain(delta[:, 2], np.linalg.norm(delta, axis=1), pd, m)
+            gains = gains_to_points([led], pts, pd, m)[0]
+            assert np.array_equal(gains == 0.0, expected == 0.0)
+            np.testing.assert_allclose(gains, expected, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("fov", [20.0, 45.0, 60.0, 85.0, 89.9])
+def test_fov_edge_links_fall_on_the_right_side(fov):
+    led = place_leds(SceneConfig())[0]
+    gaps = np.random.default_rng(int(fov * 10)).uniform(0.1, 2.9, 200)
+    pd = PdOptics(fov=fov)
+    assert np.all(gains_to_points([led], edge_links(led, fov, 1e-9, gaps), pd, 1.3) == 0.0)
+    assert np.all(gains_to_points([led], edge_links(led, fov, -1e-9, gaps), pd, 1.3) > 0.0)
+
+
+def test_fov_of_90_degrees_counts_every_link_below_the_leds():
+    rng = np.random.default_rng(90)
+    leds = place_leds(SceneConfig())
+    pts = np.column_stack([rng.uniform(-20, 24, 2000), rng.uniform(-20, 24, 2000),
+                           3.0 - 10.0 ** rng.uniform(-15, 0.4, 2000)])
+    assert np.all(gains_to_points(leds, pts, PdOptics(fov=90.0), 2.5) > 0.0)
+
+
+def test_gain_to_range_inverts_gains_on_random_links():
+    rng = np.random.default_rng(17)
+    leds = place_leds(SceneConfig())
+    anchors = np.array([led.position for led in leds])
+    pd = PdOptics(fov=90.0)
+    for m in (0.65, 1.0, 3.3, 4.82):
+        pts = np.column_stack([rng.uniform(-1, 5, 1000), rng.uniform(-1, 5, 1000),
+                               rng.uniform(0.1, 2.9, 1000)])
+        delta = anchors[:, None, :] - pts[None, :, :]
+        ranges = gain_to_range(gains_to_points(leds, pts, pd, m), delta[:, :, 2], pd, m)
+        np.testing.assert_allclose(ranges, np.linalg.norm(delta, axis=2),
+                                   rtol=1e-12, atol=0)
 
 
 def test_nadir_link_gain_matches_hand_value():
@@ -106,6 +184,11 @@ def test_gain_model_matches_gains_and_finite_differences():
     gains, grads = model.gains_and_gradients(xy)
     points = np.column_stack([xy, np.full(5, 0.85)])
     assert np.array_equal(gains, gains_to_points(leds, points, PD, 1.5))
+    assert np.array_equal(model.gains(xy), gains)
+    delta = np.array([led.position for led in leds])[:, None, :] - points[None, :, :]
+    np.testing.assert_allclose(gains, closed_form_gain(delta[:, :, 2],
+                                                       np.linalg.norm(delta, axis=2),
+                                                       PD, 1.5), rtol=1e-13, atol=0)
     step = 1e-6
     for axis in range(2):
         shift = np.zeros(2)

@@ -228,12 +228,24 @@ def test_every_command_writes_verifying_manifest(tmp_path):
 
 
 def test_invalid_config_value_exits_2(tmp_path, capsys):
-    code = run_cli(["fingerprint", "--set", "grid_pitch=0.3",
-                    "--out-dir", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "grid_pitch" in err
-    assert not (tmp_path / "J.csv").exists()
+    cases = [("fingerprint", "grid_pitch=0.3", "grid_pitch"),
+             ("simulate", "noise_variance=abc", "noise_variance"),
+             ("simulate", "grid_pitch=abc", "grid_pitch"),
+             ("simulate", "pd.fov=abc", "fov"),
+             ("simulate", "seed=abc", "seed"),
+             ("simulate", "seed=1.5", "seed"),
+             ("simulate", "led_rows=2.5", "led_rows"),
+             ("simulate", "snapshots=1.5", "snapshots"),
+             ("simulate", "half_power_angle=null", "half_power_angle"),
+             ("simulate", 'room_size=[4,4,"a"]', "room_size"),
+             ("simulate", "on_grid=2", "on_grid")]
+    for index, (command, assignment, key) in enumerate(cases):
+        out = tmp_path / str(index)
+        code = run_cli([command, "--set", assignment, "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, assignment
+        assert key in err and "Traceback" not in err, err
+        assert not out.exists() or not os.listdir(out)
 
 
 @pytest.mark.parametrize("args", [["sweep", "--K-list", "2,150"],

@@ -117,9 +117,19 @@ def test_sampling_is_deterministic_per_seed():
     ("solver", "cvx"),
     ("scheme", "knn"),
     ("seed", -1),
+    ("noise_variance", "abc"),
+    ("grid_pitch", "abc"),
+    ("seed", "abc"),
+    ("seed", 1.5),
+    ("led_rows", 2.5),
+    ("snapshots", 1.5),
+    ("snapshots", True),
+    ("half_power_angle", None),
+    ("room_size", (4.0, 4.0, "a")),
+    ("on_grid", 2),
 ])
 def test_config_invariants_rejected(field, value):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=f"^{field}: "):
         SceneConfig(**{field: value})
 
 
@@ -134,6 +144,8 @@ def test_config_error_names_the_rejected_choice(field, value, allowed):
 def test_pd_optics_invariants():
     with pytest.raises(ConfigError, match="fov"):
         PdOptics(fov=0.0)
+    with pytest.raises(ConfigError, match="^fov: must be a real number"):
+        PdOptics(fov="abc")
     with pytest.raises(ConfigError, match="detector_area"):
         PdOptics(detector_area=0.0)
 
@@ -153,9 +165,10 @@ def test_config_rejects_unknown_keys():
 
 def test_overrides_reach_nested_optics():
     cfg = apply_overrides(SceneConfig(), ["pd.detector_area=2e-4", "seed=5",
-                                          "solver=nnls"])
+                                          "solver=nnls", "snapshots=1e4"])
     assert cfg.pd.detector_area == 2e-4
     assert cfg.seed == 5
+    assert cfg.snapshots == 10 ** 4 and isinstance(cfg.snapshots, int)
     assert cfg.solver == "nnls"
 
 
