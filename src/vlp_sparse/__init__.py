@@ -9,7 +9,7 @@ schemes against a conventional per-target RSS-lateration baseline.
 __version__ = "0.1.0"
 
 from .channel import (GainModel, PairIndexMap, build_correlation_fingerprint,
-                      build_gain_matrix, gains_to_points, lambertian_order)
+                      gains_to_points, lambertian_order)
 from .evaluation import (CampaignReport, Scene, TrialResult,
                          aligned_estimates, build_scene,
                          cell_quantization_floor, gain_to_range,

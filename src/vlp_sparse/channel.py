@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scenario import GridModel, LedAnchor, PdOptics, led_positions
+from .scenario import LedAnchor, PdOptics, led_positions
 
 
 def lambertian_order(half_power_angle_deg: float) -> float:
@@ -92,12 +92,6 @@ class GainModel:
                                        self._points(xy), self.pd, self.m)
         grads = ((self.m + 3.0) * gains / dist_sq)[:, :, None] * delta[:, :, :2]
         return gains, grads
-
-
-def build_gain_matrix(leds: Sequence[LedAnchor], grid: GridModel,
-                      pd: PdOptics, m: float) -> np.ndarray:
-    """(M, N) gain matrix over all anchor/grid-cell links."""
-    return gains_to_points(leds, grid.centers, pd, m)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Outputs are plot-ready CSV tables (floats at 17 significant digits, so the
 text round-trips) with JSON mirrors, plus a run manifest with content
 digests.  Reruns with the same config and seed are byte-identical, for any
 ``--jobs``; volatile values (wall-clock runtimes, timestamps) never enter
-the CSV/JSON result files, only the manifest.
+the CSV/JSON result files, only the manifest.  Each command returns its
+written paths, its manifest extras and its failure message (None, or exit 1).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from . import __version__
 from .evaluation import (CampaignReport, aligned_estimates, build_scene,
                          run_campaign, run_trial)
 from .scenario import (SCHEMES, SOLVERS, ConfigError, SceneConfig,
-                       apply_overrides, build_grid, check_targets_k,
-                       config_from_dict, config_to_dict, load_config)
+                       apply_overrides, config_from_dict, config_to_dict,
+                       load_config)
 
 REPORT_COLUMNS = ("scheme", "K", "snr_db", "L", "trials",
                   "mean_error_m", "std_error_m", "success_rate", "failures")
@@ -68,7 +69,7 @@ def _jsonable(value):
     return value
 
 
-def cmd_fingerprint(config: SceneConfig, out_dir: str) -> list[str]:
+def cmd_fingerprint(config: SceneConfig, out_dir: str):
     """Write the gain matrix and both fingerprints plus a metadata sidecar."""
     scene = build_scene(config)
     paths = {
@@ -95,13 +96,12 @@ def cmd_fingerprint(config: SceneConfig, out_dir: str) -> list[str]:
     meta_path = os.path.join(out_dir, "meta.json")
     _write_json(meta_path, meta)
     written.append(meta_path)
-    return written
+    return written, {}, None
 
 
 def cmd_simulate(config: SceneConfig, out_dir: str,
-                 dump_measurements: bool = False) -> list[str]:
+                 dump_measurements: bool = False):
     """Run one trial of the configured scheme and write scatter + trial files."""
-    check_targets_k(build_grid(config), config.targets_k)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     results = run_trial(config, rng, schemes=[config.scheme])
     result = results[config.scheme]
@@ -134,18 +134,16 @@ def cmd_simulate(config: SceneConfig, out_dir: str,
 
     if dump_measurements:
         meas = result.measurement
-        rows = meas if isinstance(meas, list) else [meas]
+        rows = np.atleast_2d(meas.values.T)  # the baseline's: one per target
         meas_path = os.path.join(out_dir, "measurements.csv")
-        width = rows[0].values.size
-        header = ["model", "L", "sigma2"] + [f"v{i:03d}" for i in range(width)]
+        header = ["model", "L", "sigma2"] + [f"v{i:03d}" for i in range(rows.shape[1])]
+        lead = [meas.model, str(meas.snapshots), _fmt(meas.noise_variance)]
         with open(meas_path, "w") as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
-                cells = [row.model, str(row.snapshots), _fmt(row.noise_variance)]
-                cells += [_fmt(float(v)) for v in row.values]
-                fh.write(",".join(cells) + "\n")
+                fh.write(",".join(lead + [_fmt(float(v)) for v in row]) + "\n")
         written.append(meas_path)
-    return written
+    return written, {}, None
 
 
 def _write_report(report: CampaignReport, out_dir: str) -> list[str]:
@@ -187,24 +185,14 @@ def _write_manifest(out_dir: str, command: str, config: SceneConfig,
 
 
 def cmd_sweep(config: SceneConfig, out_dir: str, k_list, snr_list,
-              trials: int, jobs: int) -> int:
-    """Run the campaign, write report files, then the manifest."""
-    started = datetime.now(timezone.utc).isoformat()
+              trials: int, jobs: int):
+    """Run the campaign and write the report files; fail on a dead cell."""
     report = run_campaign(config, k_list, snr_list, trials, jobs=jobs)
-    written = _write_report(report, out_dir)
-    manifest_path = _write_manifest(
-        out_dir, "sweep", config, written, started,
-        sweep={"k_list": list(report.k_list), "snr_list": list(report.snr_list),
-               "trials": report.trials, "schemes": list(report.schemes)})
-
-    for path in written + [manifest_path]:
-        print(path)
-    dead_cells = [row for row in report.rows if row["failures"] == report.trials]
-    if dead_cells:
-        print(f"error: {len(dead_cells)} report cell(s) had 100% solver failure",
-              file=sys.stderr)
-        return 1
-    return 0
+    dead = sum(row["failures"] == report.trials for row in report.rows)
+    return (_write_report(report, out_dir),
+            {"sweep": {"k_list": report.k_list, "snr_list": report.snr_list,
+                       "trials": report.trials, "schemes": report.schemes}},
+            f"{dead} report cell(s) had 100% solver failure" if dead else None)
 
 
 def _parse_list(text: str, kind, what: str) -> list:
@@ -236,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", parents=[common],
                          help="run one trial and write a scatter table")
-    sim.add_argument("--K", type=int, help="number of targets")
+    sim.add_argument("--K", dest="targets_k", type=int, metavar="K",
+                     help="number of targets")
     sim.add_argument("--scheme", choices=SCHEMES)
     sim.add_argument("--solver", choices=SOLVERS)
     sim.add_argument("--dump-measurements", action="store_true",
@@ -255,22 +244,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _effective_config(args, base: SceneConfig | None = None) -> SceneConfig:
-    config = base
-    if config is None:
+def _effective_config(args, manifest: dict | None) -> SceneConfig:
+    """The config file or the manifest's config, then ``--set``, then flags."""
+    if manifest is not None:
+        config = config_from_dict(manifest["config"])
+    else:
         config = load_config(args.config) if args.config else SceneConfig()
     if args.overrides:
         config = apply_overrides(config, args.overrides)
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "K", None) is not None:
-        updates["targets_k"] = args.K
-    if getattr(args, "scheme", None) is not None:
-        updates["scheme"] = args.scheme
-    if getattr(args, "solver", None) is not None:
-        updates["solver"] = args.solver
-    return dataclasses.replace(config, **updates) if updates else config
+    return dataclasses.replace(config, **{  # each flag's dest is its config key
+        key: getattr(args, key) for key in ("seed", "targets_k", "scheme", "solver")
+        if getattr(args, key, None) is not None})
 
 
 def main(argv=None) -> int:
@@ -278,40 +262,38 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out_dir = args.out_dir or os.environ.get("VLP_SPARSE_OUT") or "."
     try:
-        if args.command == "sweep" and args.from_manifest:
+        manifest = None
+        if getattr(args, "from_manifest", None):
             with open(args.from_manifest) as fh:
                 manifest = json.load(fh)
             if "config" not in manifest or "sweep" not in manifest:
                 raise ConfigError(f"{args.from_manifest}: not a sweep manifest")
-            config = _effective_config(
-                args, base=config_from_dict(manifest["config"]))
-            k_list = manifest["sweep"]["k_list"]
-            snr_list = manifest["sweep"]["snr_list"]
-            trials = manifest["sweep"]["trials"]
-        elif args.command == "sweep":
-            config = _effective_config(args)
-            k_list = _parse_list(args.K_list, int, "integers")
-            snr_list = _parse_list(args.snr_list, float, "numbers")
-            trials = args.trials
-        else:
-            config = _effective_config(args)
+        config = _effective_config(args, manifest)
+        if args.command == "sweep":
+            axes = manifest["sweep"] if manifest is not None else {
+                "k_list": _parse_list(args.K_list, int, "integers"),
+                "snr_list": _parse_list(args.snr_list, float, "numbers"),
+                "trials": args.trials}
 
         os.makedirs(out_dir, exist_ok=True)
-        if args.command in ("fingerprint", "simulate"):
-            started = datetime.now(timezone.utc).isoformat()
-            if args.command == "fingerprint":
-                written = cmd_fingerprint(config, out_dir)
-            else:
-                written = cmd_simulate(config, out_dir, args.dump_measurements)
-            written.append(_write_manifest(out_dir, args.command, config,
-                                           written, started))
-            for path in written:
-                print(path)
-            return 0
-        if args.command == "sweep":
-            return cmd_sweep(config, out_dir, k_list, snr_list, trials,
-                             jobs=args.jobs)
-        raise ConfigError(f"unknown command '{args.command}'")
+        started = datetime.now(timezone.utc).isoformat()
+        if args.command == "fingerprint":
+            written, extras, failure = cmd_fingerprint(config, out_dir)
+        elif args.command == "simulate":
+            written, extras, failure = cmd_simulate(config, out_dir,
+                                                    args.dump_measurements)
+        else:
+            written, extras, failure = cmd_sweep(
+                config, out_dir, axes["k_list"], axes["snr_list"],
+                axes["trials"], jobs=args.jobs)
+        written.append(_write_manifest(out_dir, args.command, config, written,
+                                       started, **extras))
+        for path in written:
+            print(path)
+        if failure:
+            print(f"error: {failure}", file=sys.stderr)
+            return 1
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

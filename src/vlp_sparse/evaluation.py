@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .channel import (GainModel, PairIndexMap,
-                      build_correlation_fingerprint, build_gain_matrix,
+from .channel import (GainModel, PairIndexMap, build_correlation_fingerprint,
                       gain_coefficient, gains_to_points, lambertian_order,
                       led_positions)
 from .measurement import (POWER, DitherPlan, MeasurementVector,
@@ -32,7 +31,7 @@ from .measurement import (POWER, DitherPlan, MeasurementVector,
                           synthesize_snapshot_correlation)
 # unused here, but perfbench/spans.py times the power synthesis under this name
 from .measurement import synthesize_snapshot_power  # noqa: F401
-from .recovery import Dictionary, locate_cocsm, locate_csm
+from .recovery import Dictionary, LocalizationResult, locate_cocsm, locate_csm
 from .scenario import (SCHEMES, ConfigError, GridModel, LedAnchor, SceneConfig,
                        build_grid, check_targets_k, place_leds,
                        realized_snr_db, sample_targets, snr_to_noise_variance)
@@ -60,7 +59,7 @@ def build_scene(config: SceneConfig) -> Scene:
     grid = build_grid(config)
     leds = place_leds(config)
     m = lambertian_order(config.half_power_angle)
-    gains = build_gain_matrix(leds, grid, config.pd, m)
+    gains = gains_to_points(leds, grid.centers, config.pd, m)
     corr_fp, pairs = build_correlation_fingerprint(gains)
     power_fp = corr_fp[pairs.diagonal_rows]
     anchors = led_positions(leds)
@@ -86,7 +85,7 @@ class TrialResult:
     support: np.ndarray | None = None
     est_positions: np.ndarray | None = None
     true_positions: np.ndarray | None = None
-    measurement: object = None  # MeasurementVector, or list of them (baseline)
+    measurement: MeasurementVector | None = None
 
 
 @dataclass(frozen=True)
@@ -179,13 +178,13 @@ class Lateration:
         return solve
 
 
-def rss_baseline_locate(rss, leds, pd, m: float,
-                        receiver_height: float) -> np.ndarray:
+def rss_baseline_locate(rss, lateration: Lateration, pd,
+                        m: float) -> np.ndarray:
     """Per-target lateration from per-anchor received powers.
 
     ``rss`` holds noise-floor-removed squared gains, (M,) for one target or
     (M, K) with one column per target; anchors with nonpositive entries are
-    unusable.  ``leds`` are the anchors or a scene's :class:`Lateration`.
+    unusable.  ``lateration`` holds the anchors, as a scene keeps them.
     Every target needs at least three usable, non-collinear anchors; targets
     with the same usable anchors share one solve.  Returns (2,) or (K, 2).
     """
@@ -194,8 +193,6 @@ def rss_baseline_locate(rss, leds, pd, m: float,
     usable = columns > 0
     if np.any(usable.sum(axis=0) < 3):
         raise ValueError("fewer than 3 anchors with positive RSS")
-    lateration = (leds if isinstance(leds, Lateration)
-                  else Lateration(led_positions(leds), receiver_height))
     positions = np.empty((columns.shape[1], 2))
     groups: dict[bytes, list[int]] = {}
     for t, column in enumerate(usable.T):
@@ -210,39 +207,6 @@ def rss_baseline_locate(rss, leds, pd, m: float,
     return positions if rss.ndim > 1 else positions[0]
 
 
-def _locate_cs(scheme: str, scene: Scene, config: SceneConfig, k: int,
-               corr: MeasurementVector, noise_variance: float):
-    """Locate from the trial's one correlation draw; csm reads its
-    anchor-with-itself rows, bit for bit the power for the same seeds."""
-    meas = corr
-    if scheme == "csm":
-        meas = MeasurementVector(corr.values[scene.pairs.diagonal_rows], POWER,
-                                 noise_variance, config.snapshots)
-        loc = locate_csm(meas, scene.power_dict, k, noise_variance, scene.grid,
-                         solver=config.solver, gain_model=scene.gain_model)
-    else:
-        loc = locate_cocsm(meas, scene.corr_dict, k, noise_variance, scene.grid,
-                           scene.pairs, solver=config.solver,
-                           gain_model=scene.gain_model)
-    return loc.positions, loc.support, meas
-
-
-def _locate_baseline(scene: Scene, config: SceneConfig,
-                     target_gains: np.ndarray, noise_variance: float,
-                     rss_rng: np.random.Generator):
-    powers = synthesize_single_target_powers(target_gains, noise_variance,
-                                             config.snapshots, rss_rng)
-    measurements = [MeasurementVector(column, POWER, noise_variance,
-                                      config.snapshots) for column in powers.T]
-    rss = remove_noise_floor(
-        MeasurementVector(powers, POWER, noise_variance, config.snapshots),
-        noise_variance).values
-    positions = rss_baseline_locate(rss, scene.lateration, config.pd, scene.m,
-                                    config.receiver_height)
-    support = np.sort(scene.grid.cell_of(positions))
-    return positions, support, measurements
-
-
 def run_trial(config: SceneConfig, rng: np.random.Generator,
               scene: Scene | None = None, snr_db: float | None = None,
               schemes=None) -> dict[str, TrialResult]:
@@ -251,9 +215,15 @@ def run_trial(config: SceneConfig, rng: np.random.Generator,
     All schemes see the same target sample and, for the cooperative schemes,
     the same dither/noise substreams, so comparisons are paired.  When
     ``snr_db`` is given the noise variance is derived per trial from the mean
-    ideal signal power of the sampled targets.
+    ideal signal power of the sampled targets.  A ``scene`` built for another
+    room, grid, LED layout, optics or receiver height raises ``ValueError``.
     """
     scene = scene if scene is not None else build_scene(config)
+    for key in ("room_size", "grid_pitch", "led_rows", "led_cols", "led_height",
+                "pd", "half_power_angle", "receiver_height"):
+        ours, theirs = getattr(config, key), getattr(scene.config, key)
+        if ours != theirs:
+            raise ValueError(f"{key}: the config has {ours!r}, its scene {theirs!r}")
     schemes = tuple(schemes) if schemes is not None else SCHEMES
     k = config.targets_k
     seeds = [int(s) for s in rng.integers(0, 2 ** 63, size=4)]
@@ -265,36 +235,48 @@ def run_trial(config: SceneConfig, rng: np.random.Generator,
                       else snr_to_noise_variance(mean_signal, snr_db))
     realized_snr = realized_snr_db(mean_signal, noise_variance)
     points = np.column_stack([targets.true_positions,
-                              np.full(k, config.receiver_height)])
-    target_gains = gains_to_points(scene.leds, points, config.pd, scene.m)
+                              np.full(k, scene.config.receiver_height)])
+    target_gains = gains_to_points(scene.leds, points, scene.config.pd, scene.m)
 
     results: dict[str, TrialResult] = {}
     corr = None
     for scheme in schemes:
         try:
-            if scheme in ("csm", "cocsm"):
-                if corr is None:
-                    corr = synthesize_snapshot_correlation(
-                        target_gains, noise_variance, config.snapshots,
-                        DitherPlan.from_seed(seeds[1]),
-                        np.random.default_rng(seeds[2]), scene.pairs)
-                est, support, meas = _locate_cs(scheme, scene, config, k, corr,
-                                                noise_variance)
-            elif scheme == "rss_baseline":
-                est, support, meas = _locate_baseline(
-                    scene, config, target_gains, noise_variance,
-                    np.random.default_rng(seeds[3]))
+            if scheme in ("csm", "cocsm") and corr is None:
+                corr = synthesize_snapshot_correlation(
+                    target_gains, noise_variance, config.snapshots,
+                    DitherPlan.from_seed(seeds[1]),
+                    np.random.default_rng(seeds[2]), scene.pairs)
+            if scheme == "csm":  # the anchor-with-itself rows are powers
+                meas = MeasurementVector(corr.values[scene.pairs.diagonal_rows],
+                                         POWER, noise_variance, config.snapshots)
+                loc = locate_csm(meas, scene.power_dict, k, noise_variance,
+                                 scene.grid, solver=config.solver,
+                                 gain_model=scene.gain_model)
+            elif scheme == "cocsm":
+                meas = corr
+                loc = locate_cocsm(meas, scene.corr_dict, k, noise_variance,
+                                   scene.grid, scene.pairs, solver=config.solver,
+                                   gain_model=scene.gain_model)
+            elif scheme == "rss_baseline":  # each target measured alone
+                meas = MeasurementVector(synthesize_single_target_powers(
+                    target_gains, noise_variance, config.snapshots,
+                    np.random.default_rng(seeds[3])), POWER, noise_variance,
+                    config.snapshots)
+                est = rss_baseline_locate(
+                    remove_noise_floor(meas, noise_variance).values,
+                    scene.lateration, scene.config.pd, scene.m)
+                loc = LocalizationResult(est, np.sort(scene.grid.cell_of(est)), scheme)
             else:
                 raise ValueError(f"unknown scheme '{scheme}'")
             results[scheme] = TrialResult(
                 scheme=scheme, k=k, snr_db=realized_snr,
                 snapshots=config.snapshots,
-                error_m=match_and_error(est, targets.true_positions),
-                exact_support=set(np.asarray(support).tolist())
+                error_m=match_and_error(loc.positions, targets.true_positions),
+                exact_support=set(loc.support.tolist())
                 == set(targets.true_cells.tolist()),
-                support=np.asarray(support),
-                est_positions=est, true_positions=targets.true_positions,
-                measurement=meas)
+                support=loc.support, est_positions=loc.positions,
+                true_positions=targets.true_positions, measurement=meas)
         except (ValueError, np.linalg.LinAlgError) as exc:
             results[scheme] = TrialResult(
                 scheme=scheme, k=k, snr_db=realized_snr,

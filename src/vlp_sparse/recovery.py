@@ -62,15 +62,11 @@ class LocalizationResult:
 
 @dataclass(frozen=True, eq=False)
 class Dictionary:
-    """A dictionary matrix and the read-only column data its solves read."""
+    """A dictionary matrix and the read-only column norms its solves read."""
 
-    matrix: np.ndarray  # (rows, cols)
-    columns: np.ndarray  # matrix.T, C-contiguous: column j is a row
+    matrix: np.ndarray  # (rows, cols), a read-only view
     norms: np.ndarray  # column norms, 1 for zero columns
     inv_norms: np.ndarray  # 1 / norm, 0 for zero columns
-    tolerance: np.ndarray  # rows * eps * norm: omp's rank test
-    unit: np.ndarray  # matrix / norms
-    nonzero: bool  # any column nonzero
 
     @classmethod
     def of(cls, A) -> "Dictionary":
@@ -81,13 +77,10 @@ class Dictionary:
         norms = np.sqrt(np.einsum("ij,ij->j", matrix, matrix))
         nonzero = norms > 0
         inv_norms = np.divide(1.0, norms, out=np.zeros(norms.size), where=nonzero)
-        tolerance = matrix.shape[0] * np.finfo(float).eps * norms
         norms = np.where(nonzero, norms, 1.0)
-        arrays = (matrix, np.ascontiguousarray(matrix.T), norms, inv_norms,
-                  tolerance, matrix / norms)
-        for array in arrays:
+        for array in (matrix, norms, inv_norms):
             array.setflags(write=False)
-        return cls(*arrays, nonzero=bool(nonzero.any()))
+        return cls(matrix, norms, inv_norms)
 
 
 def omp(A: np.ndarray | Dictionary, b: np.ndarray, k: int) -> SparseSolution:
@@ -117,7 +110,7 @@ def omp(A: np.ndarray | Dictionary, b: np.ndarray, k: int) -> SparseSolution:
     rows, cols = D.matrix.shape
     if not 1 <= k <= min(rows, cols):
         raise ValueError(f"k={k} must be in [1, min(rows, cols)={min(rows, cols)}]")
-    if not D.nonzero:
+    if not D.inv_norms.any():
         raise ValueError("dictionary has no nonzero column")
     if np.linalg.norm(b) == 0:
         raise ValueError("zero measurement: support of size k is undefined")
@@ -137,14 +130,14 @@ def omp(A: np.ndarray | Dictionary, b: np.ndarray, k: int) -> SparseSolution:
                 raise ValueError("fewer than k linearly independent columns available")
             taken.append(j)
             scores[j] = -1.0
-            q = D.columns[j].copy()
+            q = D.matrix[:, j].copy()
             if n:  # the first pick has nothing to project out
                 h = kept @ q
                 q -= h @ kept
                 h2 = kept @ q
                 q -= h2 @ kept
             remainder = math.sqrt(q @ q)
-            if remainder > D.tolerance[j]:
+            if remainder > rows * np.finfo(float).eps * D.norms[j]:
                 break
         q /= remainder
         q_rows[n] = q
@@ -176,12 +169,12 @@ def nnls_top_k(A: np.ndarray | Dictionary, b: np.ndarray, k: int) -> SparseSolut
     cols = D.matrix.shape[1]
     if not 1 <= k <= cols:
         raise ValueError(f"k={k} must be in [1, {cols}]")
-    if not D.nonzero:
+    if not D.inv_norms.any():
         raise ValueError("dictionary has no nonzero column")
     if np.linalg.norm(b) == 0:
         raise ValueError("zero measurement: support of size k is undefined")
     try:
-        x, _ = nnls(D.unit, b)
+        x, _ = nnls(D.matrix / D.norms, b)
     except RuntimeError as exc:  # iteration limit
         raise ValueError(f"nnls: {exc}") from None
     theta = x / D.norms

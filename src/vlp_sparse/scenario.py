@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -18,6 +19,8 @@ import numpy as np
 
 SOLVERS = ("omp", "nnls")
 SCHEMES = ("csm", "cocsm", "rss_baseline")
+# max(M(M+1)/2, 3) x N: a 512 MiB correlation fingerprint, built at ~3x that
+MAX_SCENE_ENTRIES = 2 ** 26
 
 
 class ConfigError(ValueError):
@@ -34,12 +37,14 @@ def _is_real(value) -> bool:
 
 
 def _require_field_types(config) -> None:
-    """Reject by name a float field that holds no real number, an int field
-    no integer, or a bool field no bool; a bool is no number."""
+    """Reject by name a float field that holds no finite real number, an int
+    field no integer, or a bool field no bool; a bool is no number."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         if f.type == "float":
             _require(_is_real(value), f.name, f"must be a real number, got {value!r}")
+            _require(abs(value) <= sys.float_info.max,  # no inf, NaN or huge int
+                     f.name, f"must be finite, got {value!r}")
         elif f.type == "int":
             _require(_is_real(value) and isinstance(value, numbers.Integral),
                      f.name, f"must be an integer, got {value!r}")
@@ -96,9 +101,19 @@ class SceneConfig:
     def __post_init__(self) -> None:
         _require_field_types(self)
         _require(len(self.room_size) == 3
-                 and all(_is_real(s) and s > 0 for s in self.room_size),
-                 "room_size", "must be three positive extents (x, y, z)")
+                 and all(_is_real(s) and 0 < s <= sys.float_info.max
+                         for s in self.room_size),
+                 "room_size", "must be three finite positive extents (x, y, z)")
+        object.__setattr__(self, "room_size", tuple(float(s) for s in self.room_size))
         _require(self.grid_pitch > 0, "grid_pitch", "must be > 0")
+        _require(self.led_rows >= 1 and self.led_cols >= 1,
+                 "led_rows/led_cols", "must each be >= 1")
+        anchors = self.led_rows * self.led_cols  # int: no float overflow below
+        n_cells = (self.room_size[0] / self.grid_pitch
+                   * self.room_size[1] / self.grid_pitch)
+        _require(n_cells <= MAX_SCENE_ENTRIES / max(anchors * (anchors + 1) // 2, 3),
+                 "grid_pitch/led_rows/led_cols",
+                 f"must keep each scene array within {MAX_SCENE_ENTRIES} entries")
         for axis, extent in zip("xy", self.room_size[:2]):
             cells = extent / self.grid_pitch
             _require(abs(cells - round(cells)) < 1e-9 and round(cells) >= 1,
@@ -108,8 +123,6 @@ class SceneConfig:
                  "receiver_height", "must satisfy 0 < receiver_height < led_height")
         _require(self.led_height <= self.room_size[2],
                  "led_height", "must not exceed the room height")
-        _require(self.led_rows >= 1 and self.led_cols >= 1,
-                 "led_rows/led_cols", "must each be >= 1")
         _require(0 < self.half_power_angle < 90,
                  "half_power_angle", "must be in (0, 90) degrees")
         _require(self.noise_variance >= 0, "noise_variance", "must be >= 0")
@@ -212,8 +225,6 @@ def place_leds(config: SceneConfig) -> list[LedAnchor]:
     x_extent, y_extent, _ = config.room_size
     dx = x_extent / config.led_cols
     dy = y_extent / config.led_rows
-    if dx > x_extent or dy > y_extent:
-        raise ConfigError("led lattice does not fit inside the room")
     leds = []
     idx = 0
     for r in range(config.led_rows):
@@ -243,8 +254,7 @@ def sample_targets(grid: GridModel, k: int, on_grid: bool,
     With ``on_grid`` the true position is the cell center, otherwise uniform
     within the cell.  Deterministic for a given generator state.
     """
-    if not 1 <= k <= grid.n // 4:
-        raise ValueError(f"k={k} out of range: need 1 <= k <= N/4 = {grid.n // 4}")
+    check_targets_k(grid, k)
     cells = np.sort(rng.choice(grid.n, size=k, replace=False))
     positions = grid.centers_of(cells).copy()
     if not on_grid:
@@ -263,8 +273,6 @@ def config_to_dict(config: SceneConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> SceneConfig:
-    # JSON outputs write an infinite number as "inf" or "-inf"
-    data = {key: float(v) if v in ("inf", "-inf") else v for key, v in data.items()}
     fields = {f.name: f.type for f in dataclasses.fields(SceneConfig)}
     unknown = set(data) - set(fields)
     if unknown:
@@ -277,7 +285,6 @@ def config_from_dict(data: dict) -> SceneConfig:
         _require(isinstance(data["room_size"], (list, tuple))
                  and all(_is_real(v) for v in data["room_size"]),
                  "room_size", "must be a list of three numbers")
-        data["room_size"] = tuple(float(v) for v in data["room_size"])
     if "pd" in data:
         pd = data["pd"]
         if isinstance(pd, dict):

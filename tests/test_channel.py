@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from vlp_sparse import (GainModel, PdOptics, SceneConfig,
-                        build_correlation_fingerprint, build_gain_matrix,
-                        build_grid, gain_to_range, gains_to_points,
-                        lambertian_order, place_leds)
+                        build_correlation_fingerprint, build_grid,
+                        gain_to_range, gains_to_points, lambertian_order,
+                        place_leds)
 from vlp_sparse.channel import PairIndexMap
 
 PD = PdOptics()
@@ -222,7 +222,7 @@ def test_gain_matrix_shape_and_entries():
     cfg = SceneConfig()
     grid = build_grid(cfg)
     leds = place_leds(cfg)
-    H = build_gain_matrix(leds, grid, PD, 1.0)
+    H = gains_to_points(leds, grid.centers, PD, 1.0)
     assert H.shape == (16, 400)
     assert H[3, 17] == link_gain(leds[3], grid.centers[17], PD, 1.0)
     assert np.all(H >= 0)
@@ -231,7 +231,7 @@ def test_gain_matrix_shape_and_entries():
 def test_single_link_gain_matrix():
     cfg = SceneConfig(room_size=(1.0, 1.0, 3.0), grid_pitch=1.0,
                       led_rows=1, led_cols=1)
-    H = build_gain_matrix(place_leds(cfg), build_grid(cfg), PD, 1.0)
+    H = gains_to_points(place_leds(cfg), build_grid(cfg).centers, PD, 1.0)
     assert H.shape == (1, 1)
     assert abs(H[0, 0] - 6.886e-6) <= 1e-9  # nadir link again
 
@@ -239,7 +239,7 @@ def test_single_link_gain_matrix():
 def test_gain_matrix_all_zero_outside_fov():
     cfg = SceneConfig()
     pin = PdOptics(fov=1.0)  # nothing within 1 degree of vertical off-nadir grid
-    H = build_gain_matrix(place_leds(cfg), build_grid(cfg), pin, 1.0)
+    H = gains_to_points(place_leds(cfg), build_grid(cfg).centers, pin, 1.0)
     assert np.count_nonzero(H) < H.size  # clipped links are exact zeros
     assert np.all(H[H == 0] == 0.0)
 
@@ -254,14 +254,14 @@ def test_power_fingerprint_squares_entries():
 def test_default_scene_fingerprint_rows_all_positive():
     # FOV 85 deg from 2.15 m above the plane covers the whole 4x4 m floor
     cfg = SceneConfig()
-    J = np.square(build_gain_matrix(place_leds(cfg), build_grid(cfg), PD, 1.0))
+    J = np.square(gains_to_points(place_leds(cfg), build_grid(cfg).centers, PD, 1.0))
     assert np.all(J.max(axis=1) > 0)
     assert np.all(J > 0)
 
 
 def test_default_scene_fingerprint_columns_distinct():
     cfg = SceneConfig()
-    J = np.square(build_gain_matrix(place_leds(cfg), build_grid(cfg), PD, 1.0))
+    J = np.square(gains_to_points(place_leds(cfg), build_grid(cfg).centers, PD, 1.0))
     assert np.unique(J.T, axis=0).shape[0] == J.shape[1]
 
 
@@ -275,7 +275,7 @@ def test_correlation_fingerprint_two_anchor_example():
 
 def test_correlation_fingerprint_row_count_and_diagonal():
     cfg = SceneConfig()
-    H = build_gain_matrix(place_leds(cfg), build_grid(cfg), PD, 1.0)
+    H = gains_to_points(place_leds(cfg), build_grid(cfg).centers, PD, 1.0)
     psi, pairs = build_correlation_fingerprint(H)
     assert psi.shape == (136, 400)
     assert np.array_equal(psi[pairs.diagonal_rows], np.square(H))  # bit-exact

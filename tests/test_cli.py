@@ -238,7 +238,13 @@ def test_invalid_config_value_exits_2(tmp_path, capsys):
              ("simulate", "snapshots=1.5", "snapshots"),
              ("simulate", "half_power_angle=null", "half_power_angle"),
              ("simulate", 'room_size=[4,4,"a"]', "room_size"),
-             ("simulate", "on_grid=2", "on_grid")]
+             ("simulate", "on_grid=2", "on_grid"),
+             ("simulate", "noise_variance=1e400", "noise_variance"),
+             ("simulate", "room_size=[1e400,4,3]", "room_size"),
+             ("simulate", "pd.detector_area=1e400", "detector_area"),
+             ("simulate", "grid_pitch=1e-300", "grid_pitch/led_rows/led_cols"),
+             ("simulate", "grid_pitch=1e-320", "grid_pitch/led_rows/led_cols"),
+             ("fingerprint", "led_rows=100000", "grid_pitch/led_rows/led_cols")]
     for index, (command, assignment, key) in enumerate(cases):
         out = tmp_path / str(index)
         code = run_cli([command, "--set", assignment, "--out-dir", str(out)])
@@ -365,15 +371,11 @@ def strict_json(path):
 
 def test_inf_snr_sweep_writes_standard_json_and_reruns(tmp_path):
     first, second = tmp_path / "one", tmp_path / "two"
-    # a sweep derives the noise from the SNR, so an infinite config
-    # noise_variance runs; the manifest must carry it back
     assert run_cli(["sweep", "--K-list", "2", "--snr-list", "20,inf",
                     "--trials", "1", "--set", "snapshots=10",
-                    "--set", "noise_variance=Infinity",
                     "--out-dir", str(first)]) == 0
     report = strict_json(first / "report.json")
     manifest = strict_json(first / "manifest.json")
-    assert manifest["config"]["noise_variance"] == "inf"
     assert report["axes"]["snr_db"] == manifest["sweep"]["snr_list"] \
         == [20.0, "inf"]
     assert {row["snr_db"] for row in report["rows"]} == {20.0, "inf"}
@@ -397,3 +399,43 @@ def test_dead_cell_sweep_writes_standard_json(tmp_path, monkeypatch):
     assert rows["rss_baseline"]["std_error_m"] is None
     assert rows["rss_baseline"]["failures"] == 2
     strict_json(tmp_path / "manifest.json")
+
+
+@pytest.mark.parametrize("scheme", ["csm", "cocsm", "rss_baseline"])
+def test_dumped_measurement_is_the_trial_measurement(tmp_path, scheme):
+    from vlp_sparse import SceneConfig, run_trial
+    assert run_cli(["simulate", "--K", "3", "--seed", "3", "--scheme", scheme,
+                    "--set", "snapshots=300", "--set", "noise_variance=1e-12",
+                    "--dump-measurements", "--out-dir", str(tmp_path)]) == 0
+    config = SceneConfig(targets_k=3, seed=3, scheme=scheme, snapshots=300,
+                         noise_variance=1e-12)
+    meas = run_trial(config, np.random.default_rng(np.random.SeedSequence(3)),
+                     schemes=[scheme])[scheme].measurement
+    with open(tmp_path / "measurements.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    lead = [meas.model, "300", f"{meas.noise_variance:.17g}"]
+    assert [row[:3] for row in rows] == [lead] * len(rows)
+    dumped = np.array([[float(v) for v in row[3:]] for row in rows])
+    assert np.array_equal(dumped, np.atleast_2d(meas.values.T))
+
+
+def test_dead_cell_sweep_lists_outputs_then_fails(tmp_path, monkeypatch, capsys):
+    def collinear(*args, **kwargs):
+        raise ValueError("anchor geometry is collinear")
+
+    monkeypatch.setattr(evaluation, "rss_baseline_locate", collinear)
+    assert run_cli(["sweep", "--K-list", "2", "--snr-list", "20",
+                    "--trials", "2", "--set", "snapshots=20",
+                    "--out-dir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [str(tmp_path / name) for name in
+                                ("report.csv", "report.json", "manifest.json")]
+    assert err == "error: 1 report cell(s) had 100% solver failure\n"
+
+
+def test_bad_k_list_exits_2_before_the_output_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--K-list", "2,x", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: expected comma-separated integers, got '2,x'\n")
+    assert not out.exists()

@@ -13,9 +13,13 @@ from vlp_sparse import (ConfigError, PdOptics, SceneConfig, aligned_estimates,
 from vlp_sparse import evaluation, measurement
 from vlp_sparse.evaluation import Lateration, _trial_rng
 from vlp_sparse.recovery import LocalizationResult
-from vlp_sparse.scenario import LedAnchor
+from vlp_sparse.scenario import LedAnchor, led_positions
 
 PD = PdOptics()
+
+
+def lateration_of(leds):
+    return Lateration(led_positions(leds), 0.85)
 
 
 def exhaustive_match(est, truth):
@@ -131,7 +135,7 @@ def test_baseline_recovers_noiseless_target():
     cfg = SceneConfig()
     leds = place_leds(cfg)
     gains = gains_to_points(leds, np.array([[1.3, 2.7, 0.85]]), PD, 1.0)[:, 0]
-    est = rss_baseline_locate(gains ** 2, leds, PD, 1.0, 0.85)
+    est = rss_baseline_locate(gains ** 2, lateration_of(leds), PD, 1.0)
     assert np.linalg.norm(est - [1.3, 2.7]) < 1e-6
 
 
@@ -142,7 +146,7 @@ def test_baseline_self_consistent_across_interior_positions():
     pts = np.array([[x, y, 0.85] for x in xs for y in xs])
     gains = gains_to_points(leds, pts, PD, 1.0)
     for col, pt in zip(gains.T, pts):
-        est = rss_baseline_locate(col ** 2, leds, PD, 1.0, 0.85)
+        est = rss_baseline_locate(col ** 2, lateration_of(leds), PD, 1.0)
         assert np.linalg.norm(est - pt[:2]) < 1e-6
 
 
@@ -152,7 +156,7 @@ def test_baseline_self_consistent_for_fractional_lambertian_order():
     m = lambertian_order(70.0)  # ~= 0.65, non-integer exponent path
     leds = place_leds(cfg)
     gains = gains_to_points(leds, np.array([[3.1, 0.9, 0.85]]), PD, m)[:, 0]
-    est = rss_baseline_locate(gains ** 2, leds, PD, m, 0.85)
+    est = rss_baseline_locate(gains ** 2, lateration_of(leds), PD, m)
     assert np.linalg.norm(est - [3.1, 0.9]) < 1e-6
 
 
@@ -168,14 +172,14 @@ def test_baseline_range_inversion_at_nadir():
 def test_baseline_needs_three_usable_anchors():
     leds = place_leds(SceneConfig())
     with pytest.raises(ValueError, match="positive RSS"):
-        rss_baseline_locate(np.zeros(16), leds, PD, 1.0, 0.85)
+        rss_baseline_locate(np.zeros(16), lateration_of(leds), PD, 1.0)
 
 
 def test_baseline_rejects_collinear_anchors():
     line = [LedAnchor(i, np.array([1.0 + i, 2.0, 3.0])) for i in range(3)]
     gains = gains_to_points(line, np.array([[2.0, 2.0, 0.85]]), PD, 1.0)[:, 0]
     with pytest.raises(ValueError, match="collinear"):
-        rss_baseline_locate(gains ** 2, line, PD, 1.0, 0.85)
+        rss_baseline_locate(gains ** 2, lateration_of(line), PD, 1.0)
 
 
 def _batch_rss(leds):
@@ -194,10 +198,10 @@ def _batch_rss(leds):
 def test_baseline_batch_equals_column_by_column():
     leds = place_leds(SceneConfig())
     _, rss = _batch_rss(leds)
-    batch = rss_baseline_locate(rss, leds, PD, 1.0, 0.85)
+    batch = rss_baseline_locate(rss, lateration_of(leds), PD, 1.0)
     assert batch.shape == (6, 2)
     for t in range(6):
-        single = rss_baseline_locate(rss[:, t], leds, PD, 1.0, 0.85)
+        single = rss_baseline_locate(rss[:, t], lateration_of(leds), PD, 1.0)
         assert single.shape == (2,)
         np.testing.assert_allclose(batch[t], single, rtol=0, atol=1e-12)
 
@@ -233,17 +237,17 @@ def _masked_rss(leds):
 def test_mask_solves_agree_with_lstsq_column_by_column():
     scene = build_scene(SceneConfig())
     rss = _masked_rss(scene.leds)
-    batch = rss_baseline_locate(rss, scene.lateration, PD, scene.m, 0.85)
+    batch = rss_baseline_locate(rss, scene.lateration, PD, scene.m)
     for t in range(rss.shape[1]):
         ref, rank = _lstsq_lateration(rss[:, t], scene.leds, scene.m, 0.85)
         assert rank == 2
         single = rss_baseline_locate(rss[:, t], scene.lateration, PD,
-                                     scene.m, 0.85)
+                                     scene.m)
         np.testing.assert_allclose(single, ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(batch[t], ref, rtol=0, atol=1e-12)
     # the scene's cached solves and a fresh lateration from the anchors agree
     assert np.array_equal(
-        batch, rss_baseline_locate(rss, scene.leds, PD, scene.m, 0.85))
+        batch, rss_baseline_locate(rss, lateration_of(scene.leds), PD, scene.m))
 
 
 def test_collinear_error_fires_exactly_where_lstsq_rank_is_below_2():
@@ -260,9 +264,9 @@ def test_collinear_error_fires_exactly_where_lstsq_rank_is_below_2():
         if rank < 2:
             collinear += 1
             with pytest.raises(ValueError, match="collinear"):
-                rss_baseline_locate(rss, lateration, PD, 1.0, 0.85)
+                rss_baseline_locate(rss, lateration, PD, 1.0)
         else:
-            rss_baseline_locate(rss, lateration, PD, 1.0, 0.85)
+            rss_baseline_locate(rss, lateration, PD, 1.0)
     assert collinear == 44  # 4 rows, 4 columns, 2 diagonals, 4 off-diagonals
     assert len(lateration.solves) == Lateration.MAX_MASKS  # collinear ones kept out
 
@@ -270,12 +274,12 @@ def test_collinear_error_fires_exactly_where_lstsq_rank_is_below_2():
 def test_scene_lateration_keeps_the_baseline_errors():
     scene = build_scene(SceneConfig())
     with pytest.raises(ValueError, match="positive RSS"):
-        rss_baseline_locate(np.zeros(16), scene.lateration, PD, scene.m, 0.85)
+        rss_baseline_locate(np.zeros(16), scene.lateration, PD, scene.m)
     gains = gains_to_points(scene.leds, np.array([[2.1, 1.7, 0.85]]), PD,
                             scene.m)[:, 0]
     rss = np.where(np.arange(16) < 4, gains ** 2, 0.0)  # one row of anchors
     with pytest.raises(ValueError, match="collinear"):
-        rss_baseline_locate(rss, scene.lateration, PD, scene.m, 0.85)
+        rss_baseline_locate(rss, scene.lateration, PD, scene.m)
 
 
 def test_mask_solves_stay_within_their_bound():
@@ -287,7 +291,7 @@ def test_mask_solves_stay_within_their_bound():
              for pair in combinations(range(16), 2)]  # 120 14-anchor masks
     for mask in masks + masks:
         rss = np.where(mask, gains ** 2, 0.0)
-        est = rss_baseline_locate(rss, lateration, PD, scene.m, 0.85)
+        est = rss_baseline_locate(rss, lateration, PD, scene.m)
         assert len(lateration.solves) <= Lateration.MAX_MASKS
         np.testing.assert_allclose(est, [1.3, 2.2], rtol=0, atol=1e-9)
     assert len(lateration.solves) == Lateration.MAX_MASKS
@@ -318,8 +322,7 @@ def test_scene_arrays_are_read_only():
               scene.pairs.first, scene.pairs.second, scene.pairs.diagonal_rows,
               scene.lateration.anchors]
     for data in (scene.corr_dict, scene.power_dict):
-        arrays += [data.matrix, data.columns, data.norms, data.inv_norms,
-                   data.tolerance, data.unit]
+        arrays += [data.matrix, data.norms, data.inv_norms]
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 1.0
@@ -333,7 +336,7 @@ def test_baseline_batch_recovers_noiseless_targets():
     pts, _ = _batch_rss(leds)
     rss = gains_to_points(leds, pts, PD, 1.0) ** 2
     rss[[0, 5, 9], 1] = 0.0
-    est = rss_baseline_locate(rss, leds, PD, 1.0, 0.85)
+    est = rss_baseline_locate(rss, lateration_of(leds), PD, 1.0)
     assert np.max(np.linalg.norm(est - pts[:, :2], axis=1)) < 1e-6
 
 
@@ -342,7 +345,7 @@ def test_baseline_batch_fails_whole_call_on_one_short_column():
     _, rss = _batch_rss(leds)
     rss[2:, 3] = 0.0
     with pytest.raises(ValueError, match="fewer than 3 anchors with positive RSS"):
-        rss_baseline_locate(rss, leds, PD, 1.0, 0.85)
+        rss_baseline_locate(rss, lateration_of(leds), PD, 1.0)
 
 
 def test_trial_noiseless_multi_target_baseline_is_exact():
@@ -351,9 +354,8 @@ def test_trial_noiseless_multi_target_baseline_is_exact():
                         schemes=("rss_baseline",))
     baseline = results["rss_baseline"]
     assert baseline.error_m < 1e-6
-    assert len(baseline.measurement) == 6
-    assert all(m.model == "power" and m.values.shape == (16,)
-               for m in baseline.measurement)
+    assert baseline.measurement.model == "power"
+    assert baseline.measurement.values.shape == (16, 6)
 
 
 def test_trial_csm_alone_equals_csm_beside_cocsm(monkeypatch):
@@ -406,6 +408,31 @@ def test_trial_keeps_the_failure_reason(monkeypatch):
     assert baseline.failure == "LinAlgError: singular design"
     assert results["bogus"].failure == "ValueError: unknown scheme 'bogus'"
     assert not results["csm"].failed and results["csm"].failure is None
+
+
+@pytest.mark.parametrize("changes,key", [
+    ({"pd": PdOptics(detector_area=4e-4), "receiver_height": 0.5}, "pd"),
+    ({"receiver_height": 0.5}, "receiver_height"),
+    ({"led_cols": 3}, "led_cols"),
+    ({"grid_pitch": 0.25}, "grid_pitch"),
+    ({"half_power_angle": 50.0}, "half_power_angle"),
+    ({"room_size": (4.0, 4.0, 3.5)}, "room_size"),
+])
+def test_trial_rejects_a_scene_of_another_room(changes, key):
+    scene = build_scene(SceneConfig())
+    config = dataclasses.replace(SceneConfig(targets_k=2), **changes)
+    with pytest.raises(ValueError, match=f"^{key}: "):
+        run_trial(config, _trial_rng(0, 0, 0), scene=scene)
+
+
+def test_trial_accepts_a_scene_of_the_same_room():
+    scene = build_scene(SceneConfig(room_size=(4, 4, 3)))
+    config = SceneConfig(room_size=[4.0, 4.0, 3.0], targets_k=2, snapshots=10,
+                         solver="nnls", scheme="csm", noise_variance=1e-12)
+    alone = run_trial(config, _trial_rng(0, 0, 0))
+    shared = run_trial(config, _trial_rng(0, 0, 0), scene=scene)
+    for scheme in alone:
+        assert alone[scheme].error_m == shared[scheme].error_m
 
 
 def test_trial_fails_on_a_short_support(monkeypatch):

@@ -285,14 +285,12 @@ def test_dictionary_norms_match_the_column_norms(scene):
         norms = np.linalg.norm(fp, axis=0)
         assert np.array_equal(data.norms, norms)
         assert np.array_equal(data.inv_norms, 1.0 / norms)
-        assert np.array_equal(data.unit, fp / norms)
-        assert np.array_equal(data.columns, fp.T)
-        assert data.columns.flags.c_contiguous
+        assert np.array_equal(data.matrix, fp)
     A = np.array([[1.0, 0.0, 3.0], [2.0, 0.0, 4.0]])
     data = Dictionary.of(A)
     assert Dictionary.of(data) is data
     assert data.inv_norms[1] == 0.0 and data.norms[1] == 1.0
-    assert data.nonzero and not Dictionary.of(np.zeros((2, 3))).nonzero
+    assert data.inv_norms.any() and not Dictionary.of(np.zeros((2, 3))).inv_norms.any()
     assert A.flags.writeable  # the caller's matrix keeps its flags
 
 

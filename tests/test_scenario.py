@@ -80,7 +80,7 @@ def test_sample_targets_at_precondition_boundary():
 
 def test_sample_targets_rejects_excess_k():
     grid = build_grid(SceneConfig())
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="targets_k"):
         sample_targets(grid, grid.n // 4 + 1, False, np.random.default_rng(0))
 
 
@@ -127,10 +127,35 @@ def test_sampling_is_deterministic_per_seed():
     ("half_power_angle", None),
     ("room_size", (4.0, 4.0, "a")),
     ("on_grid", 2),
+    ("noise_variance", math.inf),
+    ("noise_variance", math.nan),
+    ("noise_variance", 10 ** 400),
+    ("grid_pitch", math.inf),
+    ("room_size", (1e400, 4.0, 3.0)),
+    ("room_size", (10 ** 400, 4.0, 3.0)),
 ])
 def test_config_invariants_rejected(field, value):
     with pytest.raises(ConfigError, match=f"^{field}: "):
         SceneConfig(**{field: value})
+
+
+@pytest.mark.parametrize("changes", [
+    {"grid_pitch": 1e-300}, {"grid_pitch": 1e-320}, {"led_rows": 100000},
+    {"led_rows": 10 ** 400}, {"grid_pitch": 4.0 / 703},
+])
+def test_scene_beyond_the_size_bound_rejected(changes):
+    with pytest.raises(ConfigError, match="^grid_pitch/led_rows/led_cols: "):
+        SceneConfig(**changes)
+
+
+def test_scene_at_the_size_bound_accepted():
+    # 16 anchors: 136 pair rows x 702^2 cells is within 2^26, 703^2 is not
+    assert SceneConfig(grid_pitch=4.0 / 702).grid_shape == (702, 702)
+
+
+def test_room_size_is_kept_as_float_extents():
+    assert SceneConfig(room_size=[4, 4, 3]).room_size == (4.0, 4.0, 3.0)
+    assert SceneConfig(room_size=[4, 4, 3]) == SceneConfig()
 
 
 @pytest.mark.parametrize("field,value,allowed", [("solver", "ista", SOLVERS),
@@ -148,6 +173,8 @@ def test_pd_optics_invariants():
         PdOptics(fov="abc")
     with pytest.raises(ConfigError, match="detector_area"):
         PdOptics(detector_area=0.0)
+    with pytest.raises(ConfigError, match="^detector_area: must be finite"):
+        PdOptics(detector_area=math.inf)
 
 
 def test_config_json_roundtrip(tmp_path):
