@@ -8,6 +8,8 @@ schemes against a conventional per-target RSS-lateration baseline.
 
 __version__ = "0.1.0"
 
+import numpy.random  # noqa: F401  numpy 2 would load it at a trial's first draw
+
 from .channel import (GainModel, PairIndexMap, build_correlation_fingerprint,
                       gains_to_points, lambertian_order)
 from .evaluation import (CampaignReport, Scene, TrialResult,

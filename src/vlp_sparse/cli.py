@@ -268,6 +268,11 @@ def main(argv=None) -> int:
                 manifest = json.load(fh)
             if "config" not in manifest or "sweep" not in manifest:
                 raise ConfigError(f"{args.from_manifest}: not a sweep manifest")
+            for key in ("k_list", "snr_list", "trials"):
+                if not isinstance(manifest["sweep"], dict) \
+                        or key not in manifest["sweep"]:
+                    raise ConfigError(f"{args.from_manifest}: the sweep block "
+                                      f"lacks '{key}'")
         config = _effective_config(args, manifest)
         if args.command == "sweep":
             axes = manifest["sweep"] if manifest is not None else {

@@ -1,11 +1,12 @@
 """Positioning-error metric, RSS-lateration baseline and experiment harness.
 
 Sparse recovery returns an unordered support, so the per-trial error pairs
-estimates with ground truth by minimum-cost assignment (Euclidean cost)
-before averaging the matched distances.  The conventional baseline locates
-each target separately: invert the vertical-orientation gain law per anchor
-for a link distance, reduce to horizontal ranges, and solve the
-pairwise-differenced circle equations by linear least squares.
+estimates with ground truth by minimum-cost assignment (Euclidean cost,
+matched by the Hungarian method in plain Python) before averaging the
+matched distances.  The conventional baseline locates each target
+separately: invert the vertical-orientation gain law per anchor for a link
+distance, reduce to horizontal ranges, and solve the pairwise-differenced
+circle equations by linear least squares.
 
 Trials are deterministic given (config, seed): every trial derives its own
 substreams, so campaigns can run cells in parallel and still aggregate
@@ -16,11 +17,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+# the pool's start method and locks, so that a campaign imports nothing
+import multiprocessing.popen_fork  # noqa: F401
+import multiprocessing.synchronize  # noqa: F401
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .channel import (GainModel, PairIndexMap, build_correlation_fingerprint,
                       gain_coefficient, gains_to_points, lambertian_order,
@@ -31,7 +34,8 @@ from .measurement import (POWER, DitherPlan, MeasurementVector,
                           synthesize_snapshot_correlation)
 # unused here, but perfbench/spans.py times the power synthesis under this name
 from .measurement import synthesize_snapshot_power  # noqa: F401
-from .recovery import Dictionary, LocalizationResult, locate_cocsm, locate_csm
+from .recovery import (Dictionary, LocalizationResult, load_solver,
+                       locate_cocsm, locate_csm)
 from .scenario import (SCHEMES, ConfigError, GridModel, LedAnchor, SceneConfig,
                        build_grid, check_targets_k, place_leds,
                        realized_snr_db, sample_targets, snr_to_noise_variance)
@@ -113,31 +117,97 @@ def _as_points(points, name: str) -> np.ndarray:
     return arr
 
 
+def _min_cost_matching(cost: np.ndarray) -> list[int]:
+    """Column matched to each row of the square ``cost``, at least total cost.
+
+    The Hungarian method as shortest augmenting paths (Kuhn 1955; Crouse
+    2016), in the row order, arithmetic and tie rules of scipy's
+    ``linear_sum_assignment``, so both return the same matching.  Each row
+    joins by a Dijkstra search over reduced costs ``cost - u - v`` that
+    ends at the first free column; among equal path costs a free column
+    wins.  A row whose first minimum is a free column with ``v = 0``, while
+    no ``v`` is positive, joins at once: the search would stop there after
+    one step.  Raises ``ValueError`` with scipy's messages on a NaN entry
+    or when no finite matching exists.
+    """
+    n = len(cost)
+    first = cost.argmin(axis=1).tolist()
+    cost = cost.tolist()
+    u, v = [0.0] * n, [0.0] * n
+    col4row, row4col = [-1] * n, [-1] * n
+    v_max = 0.0
+    for cur, j in enumerate(first):
+        low = cost[cur][j]  # NaN if the row holds one: argmin returns it
+        if low != low:
+            raise ValueError("matrix contains invalid numeric entries")
+        if row4col[j] < 0 and v[j] == 0 and v_max <= 0 and low < math.inf:
+            u[cur], row4col[j], col4row[cur] = low, cur, j
+            continue
+        dist, path = [math.inf] * n, [-1] * n  # path cost, last row per column
+        remaining = list(range(n - 1, -1, -1))  # scan order, as scipy's
+        rows, cols = [], []  # reached by the search
+        i, min_val = cur, 0.0
+        while True:
+            rows.append(i)
+            index, lowest, row, ui = -1, math.inf, cost[i], u[i]
+            for it, t in enumerate(remaining):
+                r, dt = min_val + row[t] - ui - v[t], dist[t]
+                if r < dt:
+                    path[t] = i
+                    dist[t] = dt = r
+                if dt < lowest or (dt == lowest and row4col[t] < 0):
+                    index, lowest = it, dt
+            if lowest == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            min_val, j = lowest, remaining[index]
+            cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        u[cur] += min_val
+        for i in rows[1:]:
+            u[i] += min_val - dist[col4row[i]]
+        for t in cols:
+            v[t] -= min_val - dist[t]
+        v_max = max(v)
+        while True:  # augment along the path back to row cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def _assignment(est: np.ndarray, truth: np.ndarray):
+    """The (K, K) distance matrix and the truth row matched to each estimate."""
     if est.shape[0] > truth.shape[0]:
         raise ValueError("more estimates than ground-truth targets")
     if est.shape[0] < truth.shape[0]:
         raise ValueError("fewer estimates than ground-truth targets")
-    cost = np.linalg.norm(est[:, None, :] - truth[None, :, :], axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    return cost, rows, cols
+    d = est[:, None, :] - truth[None, :, :]
+    cost = np.sqrt(np.add.reduce(d * d, axis=2))  # np.linalg.norm's bits
+    return cost, _min_cost_matching(cost)
 
 
 def match_and_error(est, truth) -> float:
     """Mean Euclidean distance under the minimum-cost estimate/truth pairing."""
     est = _as_points(est, "est")
     truth = _as_points(truth, "truth")
-    cost, rows, cols = _assignment(est, truth)
-    return float(np.mean(cost[rows, cols]))
+    cost, cols = _assignment(est, truth)
+    matched = cost[np.arange(len(cols)), cols]
+    return float(matched.sum() / matched.size)
 
 
 def aligned_estimates(est, truth) -> np.ndarray:
     """Estimates reordered so row k is the one matched to truth row k."""
     est = _as_points(est, "est")
     truth = _as_points(truth, "truth")
-    _, rows, cols = _assignment(est, truth)
+    _, cols = _assignment(est, truth)
     aligned = np.empty_like(truth)
-    aligned[cols] = est[rows]
+    aligned[cols] = est
     return aligned
 
 
@@ -230,7 +300,8 @@ def run_trial(config: SceneConfig, rng: np.random.Generator,
     targets = sample_targets(scene.grid, k, config.on_grid,
                              np.random.default_rng(seeds[0]))
     indicator = indicator_from_cells(targets.true_cells, scene.grid.n)
-    mean_signal = float(np.mean(scene.power_fp @ indicator))
+    signal = scene.power_fp @ indicator
+    mean_signal = float(signal.sum() / signal.size)
     noise_variance = (config.noise_variance if snr_db is None
                       else snr_to_noise_variance(mean_signal, snr_db))
     realized_snr = realized_snr_db(mean_signal, noise_variance)
@@ -346,6 +417,7 @@ def run_campaign(config: SceneConfig, k_list, snr_list, trials: int,
     scene = build_scene(config)
     for k in k_list:
         check_targets_k(scene.grid, k)
+    load_solver(config.solver)  # once here, not in each forked worker
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                  initargs=(scene,)) as pool:

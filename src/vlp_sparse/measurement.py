@@ -86,9 +86,10 @@ def indicator_from_cells(cells, n: int) -> np.ndarray:
     cells = np.asarray(cells, dtype=int)
     if cells.size == 0:
         raise ValueError("need at least one occupied cell")
-    if np.any(cells < 0) or np.any(cells >= n):
+    ordered = np.sort(cells, axis=None)
+    if ordered[0] < 0 or ordered[-1] >= n:
         raise ValueError("cell index out of range")
-    if np.unique(cells).size != cells.size:
+    if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("duplicate cells: indicator entries are binary")
     indicator = np.zeros(n)
     indicator[cells] = 1.0

@@ -8,11 +8,13 @@ columns because fingerprint column energies vary by orders of magnitude
 across the room, which would otherwise bias selection toward cells under
 anchors.  Ties break toward the lowest index everywhere.
 
-The ``nnls`` solver uses the indicator's sign: nonnegative least squares
-finds the support where greedy pursuit, misled by the large component all
-(positive) columns share, picks cells between targets.  It then refines
-the K positions off the grid against the continuous gain model and
-reports the cells that contain them.
+The ``omp`` solver, the default, needs numpy only.  The ``nnls`` solver
+uses the indicator's sign: nonnegative least squares finds the support
+where greedy pursuit, misled by the large component all (positive) columns
+share, picks cells between targets.  It then refines the K positions off
+the grid against the continuous gain model and reports the cells that
+contain them.  It runs on ``scipy.optimize``, which ``load_solver`` imports
+on first use, so that a process running ``omp`` never loads scipy.
 """
 
 from __future__ import annotations
@@ -22,12 +24,23 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
-from scipy.optimize import least_squares, nnls
 
 from .channel import GainModel, PairIndexMap
 from .measurement import CORRELATION, POWER, MeasurementVector, remove_noise_floor
 from .scenario import SOLVERS, GridModel, realized_snr_db
+
+_EPS = np.finfo(float).eps
+
+
+def load_solver(solver: str):
+    """Import what ``solver`` needs beyond numpy: ``scipy.optimize`` for
+    ``nnls``, which is returned, and nothing for ``omp``.  Call it before
+    forking workers, so that they share the modules instead of each
+    importing them."""
+    if solver == "nnls":
+        import scipy.optimize
+        return scipy.optimize
+    return None
 
 
 @dataclass(frozen=True)
@@ -94,8 +107,8 @@ def omp(A: np.ndarray | Dictionary, b: np.ndarray, k: int) -> SparseSolution:
     keeps ``Q`` orthonormal to working precision where one pass loses
     orthogonality on ill-conditioned columns), and the residual is updated
     as ``r -= q (q^T r)``, so no least-squares problem is re-solved per
-    step.  The coefficients on the raw columns come from one triangular
-    solve ``R x = Q^T b`` at the end.
+    step.  The coefficients on the raw columns come from one solve of the
+    triangular system ``R x = Q^T b`` at the end; R's diagonal is positive.
 
     A candidate whose remainder after orthogonalization is at most
     ``rows * eps * ||a_j||`` lies in the span of the selected columns to
@@ -112,7 +125,7 @@ def omp(A: np.ndarray | Dictionary, b: np.ndarray, k: int) -> SparseSolution:
         raise ValueError(f"k={k} must be in [1, min(rows, cols)={min(rows, cols)}]")
     if not D.inv_norms.any():
         raise ValueError("dictionary has no nonzero column")
-    if np.linalg.norm(b) == 0:
+    if b @ b == 0:
         raise ValueError("zero measurement: support of size k is undefined")
 
     q_rows = np.empty((k, rows))  # Q^T, one orthonormal row per pick
@@ -121,7 +134,9 @@ def omp(A: np.ndarray | Dictionary, b: np.ndarray, k: int) -> SparseSolution:
     selected: list[int] = []
     residual = b.copy()
     for n in range(k):
-        scores = np.abs(D.matrix.T @ residual) * D.inv_norms
+        scores = D.matrix.T @ residual
+        np.abs(scores, out=scores)
+        scores *= D.inv_norms
         scores[taken] = -1.0
         kept = q_rows[:n]
         while True:
@@ -137,7 +152,7 @@ def omp(A: np.ndarray | Dictionary, b: np.ndarray, k: int) -> SparseSolution:
                 h2 = kept @ q
                 q -= h2 @ kept
             remainder = math.sqrt(q @ q)
-            if remainder > rows * np.finfo(float).eps * D.norms[j]:
+            if remainder > rows * _EPS * D.norms[j]:
                 break
         q /= remainder
         q_rows[n] = q
@@ -146,9 +161,8 @@ def omp(A: np.ndarray | Dictionary, b: np.ndarray, k: int) -> SparseSolution:
         r_upper[n, n] = remainder
         residual -= q * (q @ residual)
         selected.append(j)
-    # solve_triangular's LAPACK call minus its wrapper; R's diagonal is positive
-    coef, _ = dtrtrs(r_upper.T, q_rows @ b, lower=1, trans=1)
-    return SparseSolution(support=np.array(selected), coefficients=coef,
+    return SparseSolution(support=np.array(selected),
+                          coefficients=np.linalg.solve(r_upper, q_rows @ b),
                           residual_norm=math.sqrt(residual @ residual),
                           iterations=len(selected))
 
@@ -174,7 +188,7 @@ def nnls_top_k(A: np.ndarray | Dictionary, b: np.ndarray, k: int) -> SparseSolut
     if np.linalg.norm(b) == 0:
         raise ValueError("zero measurement: support of size k is undefined")
     try:
-        x, _ = nnls(D.matrix / D.norms, b)
+        x, _ = load_solver("nnls").nnls(D.matrix / D.norms, b)
     except RuntimeError as exc:  # iteration limit
         raise ValueError(f"nnls: {exc}") from None
     theta = x / D.norms
@@ -213,7 +227,8 @@ def refine_off_grid(xy: np.ndarray, b: np.ndarray, first: np.ndarray,
         return jac.reshape(len(first), 2 * k) / scale
 
     upper = np.tile([grid.nx * grid.pitch, grid.ny * grid.pitch], k)
-    fit = least_squares(residual, xy.ravel(), jac=jacobian, bounds=(0.0, upper))
+    fit = load_solver("nnls").least_squares(residual, xy.ravel(), jac=jacobian,
+                                            bounds=(0.0, upper))
     return fit.x.reshape(k, 2), fit
 
 
@@ -288,7 +303,8 @@ def _locate(scheme: str, fp: np.ndarray | Dictionary, b: np.ndarray, k: int,
         raise ValueError("the nnls solver needs the continuous gain model")
     fp = Dictionary.of(fp)
     solution = (omp if solver == "omp" else nnls_top_k)(fp, b, k)
-    diagnostics = {"snr_db": realized_snr_db(float(np.mean(b)), noise_variance),
+    diagnostics = {"snr_db": realized_snr_db(float(b.sum() / b.size),
+                                             noise_variance),
                    "residual_norm": solution.residual_norm,
                    "solver": solver,
                    "advisory": recoverability_advisory(*fp.matrix.shape, k),

@@ -126,7 +126,8 @@ class SceneConfig:
         _require(0 < self.half_power_angle < 90,
                  "half_power_angle", "must be in (0, 90) degrees")
         _require(self.noise_variance >= 0, "noise_variance", "must be >= 0")
-        _require(self.snapshots >= 1, "snapshots", "must be >= 1")
+        _require(1 <= self.snapshots < 2 ** 63, "snapshots",  # numpy draws take int64
+                 f"must be in [1, 2^63 - 1], got {self.snapshots}")
         _require(0 <= self.seed < 2 ** 64, "seed", "must be an unsigned 64-bit integer")
         _require(self.solver in SOLVERS, "solver",
                  f"must be one of {SOLVERS}, got {self.solver!r}")

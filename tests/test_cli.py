@@ -191,6 +191,28 @@ def test_sweep_from_manifest_rejects_a_recorded_ista_solver(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("missing", ["k_list", "snr_list", "trials"])
+def test_sweep_from_manifest_names_a_missing_sweep_key(tmp_path, capsys, missing):
+    sweep = {"k_list": [2], "snr_list": [20.0], "trials": 1}
+    del sweep[missing]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"config": {"snapshots": 10}, "sweep": sweep}))
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--from-manifest", str(manifest),
+                    "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"'{missing}'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sweep_from_manifest_rejects_an_empty_sweep_block(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"config": {}, "sweep": {}}))
+    assert run_cli(["sweep", "--from-manifest", str(manifest),
+                    "--out-dir", str(tmp_path / "out")]) == 2
+    assert "'k_list'" in capsys.readouterr().err
+
+
 def test_baseline_subcommand_is_gone(tmp_path, capsys):
     assert exit_code(["baseline", "--K", "2", "--out-dir", str(tmp_path)]) == 2
     assert "simulate" in capsys.readouterr().err
@@ -236,6 +258,7 @@ def test_invalid_config_value_exits_2(tmp_path, capsys):
              ("simulate", "seed=1.5", "seed"),
              ("simulate", "led_rows=2.5", "led_rows"),
              ("simulate", "snapshots=1.5", "snapshots"),
+             ("simulate", "snapshots=10000000000000000000", "snapshots"),
              ("simulate", "half_power_angle=null", "half_power_angle"),
              ("simulate", 'room_size=[4,4,"a"]', "room_size"),
              ("simulate", "on_grid=2", "on_grid"),

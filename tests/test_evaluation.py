@@ -116,6 +116,44 @@ def test_match_rejects_empty_and_excess():
         match_and_error(np.zeros((1, 2)), np.zeros((2, 2)))
 
 
+def test_matcher_equals_scipy_on_random_and_tied_matrices():
+    """scipy's ``linear_sum_assignment`` is the oracle: the same total, and
+    the same matching, since the matcher keeps scipy's order and tie rules.
+    A third of the matrices are rounded to integers, so they hold ties."""
+    from scipy.optimize import linear_sum_assignment
+    rng = np.random.default_rng(18)
+    for index in range(600):
+        n = int(rng.integers(1, 15))
+        cost = rng.uniform(0.0, 10.0, (n, n))
+        if index % 3 == 0:
+            cost = np.round(cost)
+        cols = evaluation._min_cost_matching(cost)
+        rows, oracle = linear_sum_assignment(cost)
+        assert sorted(cols) == list(range(n))
+        assert cost[rows, cols].sum() == cost[rows, oracle].sum()
+        assert cols == oracle.tolist()
+
+
+def test_aligned_estimates_is_a_permutation_on_tied_lattices():
+    from scipy.optimize import linear_sum_assignment
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        k = int(rng.integers(1, 15))
+        est = rng.integers(0, 4, (k, 2)).astype(float)  # repeated points tie
+        truth = rng.integers(0, 4, (k, 2)).astype(float)
+        aligned = aligned_estimates(est, truth)
+        assert sorted(map(tuple, aligned)) == sorted(map(tuple, est))
+        cost = np.linalg.norm(est[:, None, :] - truth[None, :, :], axis=2)
+        rows, cols = linear_sum_assignment(cost)
+        assert match_and_error(est, truth) == float(np.mean(cost[rows, cols]))
+
+
+def test_match_rejects_nan_positions():
+    for est in ([[math.nan, 0.0], [1.0, 1.0]], [[0.0, 0.0], [1.0, math.nan]]):
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            match_and_error(est, [[0.0, 0.0], [1.0, 1.0]])
+
+
 def test_aligned_estimates_follow_the_matching():
     truth = np.array([[0.0, 0.0], [1.0, 0.0]])
     est = np.array([[1.0, 0.0], [0.0, 0.2]])

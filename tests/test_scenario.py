@@ -133,6 +133,8 @@ def test_sampling_is_deterministic_per_seed():
     ("grid_pitch", math.inf),
     ("room_size", (1e400, 4.0, 3.0)),
     ("room_size", (10 ** 400, 4.0, 3.0)),
+    ("snapshots", 2 ** 63),
+    ("snapshots", 10 ** 19),
 ])
 def test_config_invariants_rejected(field, value):
     with pytest.raises(ConfigError, match=f"^{field}: "):
