@@ -26,10 +26,10 @@ from .recovery import (LocalizationResult, RecoveryAdvisory, SparseSolution,
                        brute_force_support, locate_cocsm, locate_csm,
                        nnls_top_k, omp, recoverability_advisory,
                        refine_off_grid)
-from .scenario import (SCHEMES, SOLVERS, ConfigError, GridModel, LedAnchor,
-                       PdOptics, SceneConfig, TargetSet, apply_overrides,
-                       build_grid, config_from_dict, config_to_dict,
-                       load_config, place_leds, realized_snr_db,
-                       sample_targets, snr_to_noise_variance)
+from .scenario import (SCHEMES, SOLVERS, ConfigError, GridModel, PdOptics,
+                       SceneConfig, TargetSet, apply_overrides, build_grid,
+                       config_from_dict, config_to_dict, load_config,
+                       place_leds, realized_snr_db, sample_targets,
+                       snr_to_noise_variance)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .scenario import LedAnchor, PdOptics, led_positions
+from .scenario import PdOptics
 
 
 def lambertian_order(half_power_angle_deg: float) -> float:
@@ -49,26 +48,27 @@ def _links(anchors: np.ndarray, points: np.ndarray, pd: PdOptics, m: float):
     return delta, dist_sq, gains
 
 
-def gains_to_points(leds: Sequence[LedAnchor], points: np.ndarray,
+def gains_to_points(anchors: np.ndarray, points: np.ndarray,
                     pd: PdOptics, m: float) -> np.ndarray:
-    """Channel gains from every anchor to every receiver point.
+    """Channel gains from every anchor (M, 3) to every receiver point (P, 3).
 
-    ``points`` is (P, 3); returns (M, P) with entry (i, p) the gain of the
-    link from anchor i to point p.  Points must lie strictly below the LEDs.
+    Returns (M, P) with entry (i, p) the gain of the link from anchor i to
+    point p.  Points must lie strictly below the LEDs.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return _links(led_positions(leds), points, pd, m)[2]
+    return _links(anchors, points, pd, m)[2]
 
 
 @dataclass(frozen=True)
 class GainModel:
     """Continuous gain law of a scene: the links to any receiver position.
 
-    Fingerprints sample this law at cell centers; off-grid refinement
-    evaluates it, and its gradient, at free positions on the receiver plane.
+    The one home of the anchors (M, 3) and of the law's parameters.
+    Fingerprints sample it at cell centers, refinement evaluates it and its
+    gradient at free positions on the receiver plane, lateration inverts it.
     """
 
-    leds: Sequence[LedAnchor]
+    anchors: np.ndarray
     pd: PdOptics
     m: float
     height: float  # receiver plane
@@ -79,7 +79,7 @@ class GainModel:
 
     def gains(self, xy: np.ndarray) -> np.ndarray:
         """Gains (M, P) at receiver positions ``xy`` (P, 2)."""
-        return gains_to_points(self.leds, self._points(xy), self.pd, self.m)
+        return _links(self.anchors, self._points(xy), self.pd, self.m)[2]
 
     def gains_and_gradients(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gains (M, P) at receiver positions ``xy`` (P, 2) and their gradients.
@@ -88,8 +88,7 @@ class GainModel:
         ``(m+3) g (a - p) / d^2``, zero wherever the gain is.  Returns the
         gradients as (M, P, 2).
         """
-        delta, dist_sq, gains = _links(led_positions(self.leds),
-                                       self._points(xy), self.pd, self.m)
+        delta, dist_sq, gains = _links(self.anchors, self._points(xy), self.pd, self.m)
         grads = ((self.m + 3.0) * gains / dist_sq)[:, :, None] * delta[:, :, :2]
         return gains, grads
 

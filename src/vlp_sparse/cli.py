@@ -78,6 +78,7 @@ def cmd_fingerprint(config: SceneConfig, out_dir: str):
         "Psi.csv": scene.corr_fp,
     }
     written = []
+    os.makedirs(out_dir, exist_ok=True)  # only now: a rejected input leaves none
     for name, matrix in paths.items():
         path = os.path.join(out_dir, name)
         _write_matrix_csv(path, matrix)
@@ -109,6 +110,7 @@ def cmd_simulate(config: SceneConfig, out_dir: str,
         raise ConfigError(f"trial failed for scheme '{config.scheme}': "
                           f"{result.failure}")
 
+    os.makedirs(out_dir, exist_ok=True)
     scatter_path = os.path.join(out_dir, "scatter.csv")
     aligned = aligned_estimates(result.est_positions, result.true_positions)
     with open(scatter_path, "w") as fh:
@@ -147,6 +149,7 @@ def cmd_simulate(config: SceneConfig, out_dir: str,
 
 
 def _write_report(report: CampaignReport, out_dir: str) -> list[str]:
+    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "report.csv")
     with open(csv_path, "w") as fh:
         fh.write(",".join(REPORT_COLUMNS) + "\n")
@@ -280,7 +283,6 @@ def main(argv=None) -> int:
                 "snr_list": _parse_list(args.snr_list, float, "numbers"),
                 "trials": args.trials}
 
-        os.makedirs(out_dir, exist_ok=True)
         started = datetime.now(timezone.utc).isoformat()
         if args.command == "fingerprint":
             written, extras, failure = cmd_fingerprint(config, out_dir)

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import (GainModel, PairIndexMap, build_correlation_fingerprint,
-                      gain_coefficient, gains_to_points, lambertian_order,
-                      led_positions)
+                      gain_coefficient, gains_to_points, lambertian_order)
 from .measurement import (POWER, DitherPlan, MeasurementVector,
                           indicator_from_cells, remove_noise_floor,
                           synthesize_single_target_powers,
@@ -36,9 +35,9 @@ from .measurement import (POWER, DitherPlan, MeasurementVector,
 from .measurement import synthesize_snapshot_power  # noqa: F401
 from .recovery import (Dictionary, LocalizationResult, load_solver,
                        locate_cocsm, locate_csm)
-from .scenario import (SCHEMES, ConfigError, GridModel, LedAnchor, SceneConfig,
-                       build_grid, check_targets_k, place_leds,
-                       realized_snr_db, sample_targets, snr_to_noise_variance)
+from .scenario import (SCHEMES, ConfigError, GridModel, SceneConfig, build_grid,
+                       check_targets_k, place_leds, realized_snr_db,
+                       sample_targets, snr_to_noise_variance)
 
 
 @dataclass(frozen=True)
@@ -47,13 +46,11 @@ class Scene:
 
     config: SceneConfig
     grid: GridModel
-    leds: list[LedAnchor]
-    m: float
-    gains: np.ndarray  # (M, N)
+    gain_model: GainModel  # the anchors and the law of every link
+    gains: np.ndarray  # (M, N): gain_model at the cell centers
     corr_fp: np.ndarray  # (M(M+1)/2, N)
     pairs: PairIndexMap
     power_fp: np.ndarray  # (M, N): the diagonal-pair rows of corr_fp
-    gain_model: GainModel
     corr_dict: Dictionary  # solver data of corr_fp
     power_dict: Dictionary  # solver data of power_fp
     lateration: Lateration  # the baseline's per-mask solves
@@ -61,19 +58,18 @@ class Scene:
 
 def build_scene(config: SceneConfig) -> Scene:
     grid = build_grid(config)
-    leds = place_leds(config)
-    m = lambertian_order(config.half_power_angle)
-    gains = gains_to_points(leds, grid.centers, config.pd, m)
+    model = GainModel(place_leds(config), config.pd,
+                      lambertian_order(config.half_power_angle),
+                      config.receiver_height)
+    gains = gains_to_points(model.anchors, grid.centers, model.pd, model.m)
     corr_fp, pairs = build_correlation_fingerprint(gains)
     power_fp = corr_fp[pairs.diagonal_rows]
-    anchors = led_positions(leds)
-    for array in (gains, corr_fp, power_fp, anchors):
+    for array in (gains, corr_fp, power_fp):
         array.setflags(write=False)
-    return Scene(config=config, grid=grid, leds=leds, m=m, gains=gains,
+    return Scene(config=config, grid=grid, gain_model=model, gains=gains,
                  corr_fp=corr_fp, pairs=pairs, power_fp=power_fp,
-                 gain_model=GainModel(leds, config.pd, m, config.receiver_height),
                  corr_dict=Dictionary.of(corr_fp), power_dict=Dictionary.of(power_fp),
-                 lateration=Lateration(anchors, config.receiver_height))
+                 lateration=Lateration(model))
 
 
 @dataclass(frozen=True)
@@ -219,12 +215,11 @@ def gain_to_range(gain, vertical_gap, pd, m: float):
 
 @dataclass(frozen=True, eq=False)
 class Lateration:
-    """Pairwise-differenced circle equations of one anchor layout: each usable
-    mask's least-squares map is built on first use and kept (``MAX_MASKS``)."""
+    """Pairwise-differenced circle equations of a gain model's anchors: each
+    usable mask's least-squares map is built on first use and kept (``MAX_MASKS``)."""
 
     MAX_MASKS = 64
-    anchors: np.ndarray  # (M, 3)
-    receiver_height: float
+    gain_model: GainModel
     solves: dict = field(default_factory=dict, init=False, repr=False)
 
     def for_mask(self, mask: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -232,14 +227,14 @@ class Lateration:
         vertical gaps, and the (2, n) map from ``|a|^2 - r^2`` to the position."""
         solve = self.solves.get(mask.tobytes())
         if solve is None:
-            pos = self.anchors[mask]
+            pos = self.gain_model.anchors[mask]
             i, j = np.triu_indices(len(pos), k=1)
             design = 2.0 * (pos[i, :2] - pos[j, :2])
             if np.linalg.matrix_rank(design) < 2:  # lstsq(rcond=None)'s rule
                 raise ValueError("anchor geometry is collinear")
             eye = np.eye(len(pos))
             solve = ((pos[:, 0] ** 2 + pos[:, 1] ** 2)[:, None],
-                     (pos[:, 2] - self.receiver_height)[:, None],
+                     (pos[:, 2] - self.gain_model.height)[:, None],
                      np.linalg.pinv(design) @ (eye[i] - eye[j]))
             for array in solve:
                 array.setflags(write=False)
@@ -248,13 +243,12 @@ class Lateration:
         return solve
 
 
-def rss_baseline_locate(rss, lateration: Lateration, pd,
-                        m: float) -> np.ndarray:
+def rss_baseline_locate(rss, lateration: Lateration) -> np.ndarray:
     """Per-target lateration from per-anchor received powers.
 
     ``rss`` holds noise-floor-removed squared gains, (M,) for one target or
     (M, K) with one column per target; anchors with nonpositive entries are
-    unusable.  ``lateration`` holds the anchors, as a scene keeps them.
+    unusable.  ``lateration`` inverts its gain model's law and anchors.
     Every target needs at least three usable, non-collinear anchors; targets
     with the same usable anchors share one solve.  Returns (2,) or (K, 2).
     """
@@ -271,7 +265,7 @@ def rss_baseline_locate(rss, lateration: Lateration, pd,
         mask = usable[:, targets[0]]
         anchor_sq, vertical_gap, weights = lateration.for_mask(mask)
         dist = gain_to_range(np.sqrt(columns[mask][:, targets]), vertical_gap,
-                             pd, m)
+                             lateration.gain_model.pd, lateration.gain_model.m)
         range_sq = np.maximum(dist * dist - vertical_gap * vertical_gap, 0.0)
         positions[targets] = (weights @ (anchor_sq - range_sq)).T
     return positions if rss.ndim > 1 else positions[0]
@@ -305,9 +299,9 @@ def run_trial(config: SceneConfig, rng: np.random.Generator,
     noise_variance = (config.noise_variance if snr_db is None
                       else snr_to_noise_variance(mean_signal, snr_db))
     realized_snr = realized_snr_db(mean_signal, noise_variance)
-    points = np.column_stack([targets.true_positions,
-                              np.full(k, scene.config.receiver_height)])
-    target_gains = gains_to_points(scene.leds, points, scene.config.pd, scene.m)
+    model = scene.gain_model
+    points = np.column_stack([targets.true_positions, np.full(k, model.height)])
+    target_gains = gains_to_points(model.anchors, points, model.pd, model.m)
 
     results: dict[str, TrialResult] = {}
     corr = None
@@ -336,7 +330,7 @@ def run_trial(config: SceneConfig, rng: np.random.Generator,
                     config.snapshots)
                 est = rss_baseline_locate(
                     remove_noise_floor(meas, noise_variance).values,
-                    scene.lateration, scene.config.pd, scene.m)
+                    scene.lateration)
                 loc = LocalizationResult(est, np.sort(scene.grid.cell_of(est)), scheme)
             else:
                 raise ValueError(f"unknown scheme '{scheme}'")

@@ -148,13 +148,12 @@ class GridModel:
 
     Cells are indexed row-major with x fastest: cell ``j`` covers
     ``(ix, iy) = (j % nx, j // nx)`` and its center is
-    ``((ix + 0.5) * pitch, (iy + 0.5) * pitch, height)``.
+    ``((ix + 0.5) * pitch, (iy + 0.5) * pitch, receiver_height)``.
     """
 
     nx: int
     ny: int
     pitch: float
-    height: float
     centers: np.ndarray  # (N, 3), read-only
 
     @property
@@ -171,14 +170,6 @@ class GridModel:
     def centers_of(self, cells: Sequence[int]) -> np.ndarray:
         """(len(cells), 2) array of cell-center (x, y) coordinates."""
         return self.centers[np.asarray(cells, dtype=int), :2]
-
-
-@dataclass(frozen=True)
-class LedAnchor:
-    """A ceiling LED of known position, oriented straight down."""
-
-    index: int
-    position: np.ndarray  # (3,)
 
 
 @dataclass(frozen=True)
@@ -213,33 +204,25 @@ def build_grid(config: SceneConfig) -> GridModel:
         np.full(nx * ny, config.receiver_height),
     ])
     centers.setflags(write=False)
-    return GridModel(nx=nx, ny=ny, pitch=pitch,
-                     height=config.receiver_height, centers=centers)
+    return GridModel(nx=nx, ny=ny, pitch=pitch, centers=centers)
 
 
-def place_leds(config: SceneConfig) -> list[LedAnchor]:
-    """Uniform ceiling lattice with half-spacing margins.
+def place_leds(config: SceneConfig) -> np.ndarray:
+    """Uniform ceiling lattice with half-spacing margins: read-only (M, 3)
+    positions of downward LEDs, x fastest (row-major).
 
     ``led_cols`` positions along x at ``(i + 0.5) * X / led_cols`` and
     ``led_rows`` along y, all at ``led_height``.
     """
     x_extent, y_extent, _ = config.room_size
-    dx = x_extent / config.led_cols
-    dy = y_extent / config.led_rows
-    leds = []
-    idx = 0
-    for r in range(config.led_rows):
-        for c in range(config.led_cols):
-            pos = np.array([(c + 0.5) * dx, (r + 0.5) * dy, config.led_height])
-            pos.setflags(write=False)
-            leds.append(LedAnchor(index=idx, position=pos))
-            idx += 1
-    return leds
-
-
-def led_positions(leds: Sequence[LedAnchor]) -> np.ndarray:
-    """(M, 3) position array in anchor-index order."""
-    return np.array([led.position for led in leds])
+    cols, rows = np.meshgrid(np.arange(config.led_cols), np.arange(config.led_rows))
+    anchors = np.column_stack([
+        (cols.ravel() + 0.5) * (x_extent / config.led_cols),
+        (rows.ravel() + 0.5) * (y_extent / config.led_rows),
+        np.full(cols.size, config.led_height),
+    ])
+    anchors.setflags(write=False)
+    return anchors
 
 
 def check_targets_k(grid: GridModel, k: int) -> None:
@@ -278,6 +261,7 @@ def config_from_dict(data: dict) -> SceneConfig:
     unknown = set(data) - set(fields)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    data = dict(data)  # the caller's dict stays as it was
     for key, value in data.items():
         # a JSON number such as 1e4 names an integer when its value is whole
         if fields[key] == "int" and isinstance(value, float) and value.is_integer():

@@ -25,7 +25,6 @@ from vlp_sparse import (DitherPlan, PdOptics, SceneConfig, brute_force_support,
                         synthesize_snapshot_power)
 from vlp_sparse.cli import main as cli_main
 from vlp_sparse.evaluation import run_campaign
-from vlp_sparse.scenario import LedAnchor
 
 
 def _report(n, name, started, detail=""):
@@ -44,12 +43,11 @@ def test_criterion_01_channel_closed_form():
                       concentrator_gain=float(rng.uniform(0.5, 3.0)),
                       fov=float(rng.uniform(20.0, 90.0)))
         m = float(rng.uniform(0.7, 5.0))
-        anchor = LedAnchor(0, np.array([rng.uniform(0, 4), rng.uniform(0, 4),
-                                        rng.uniform(2.0, 3.0)]))
+        anchor = np.array([[rng.uniform(0, 4), rng.uniform(0, 4), rng.uniform(2.0, 3.0)]])
         pts = np.column_stack([rng.uniform(-2, 6, 1000), rng.uniform(-2, 6, 1000),
-                               rng.uniform(0.05, anchor.position[2] - 0.05, 1000)])
-        gains = gains_to_points([anchor], pts, pd, m)[0]
-        delta = anchor.position[None, :] - pts
+                               rng.uniform(0.05, anchor[0, 2] - 0.05, 1000)])
+        gains = gains_to_points(anchor, pts, pd, m)[0]
+        delta = anchor - pts
         dz = delta[:, 2]
         dist = np.linalg.norm(delta, axis=1)
         coeff = (m + 1) / (2 * math.pi) * pd.detector_area * pd.filter_gain \
@@ -212,7 +210,8 @@ def test_criterion_07_quantization_floor():
         noise_var = snr_to_noise_variance(
             float(np.mean(scene.power_fp @ theta)), 40.0)
         pts = np.column_stack([targets.true_positions, np.full(8, 0.85)])
-        gains = gains_to_points(scene.leds, pts, config.pd, scene.m)
+        gains = gains_to_points(scene.gain_model.anchors, pts, config.pd,
+                                scene.gain_model.m)
         seeds = rng.integers(0, 2 ** 63, size=2)
         meas = synthesize_snapshot_correlation(
             gains, noise_var, 10 ** 6, DitherPlan.from_seed(int(seeds[0])),

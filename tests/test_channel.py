@@ -21,7 +21,7 @@ def closed_form_gain(dz, dist, pd, m):
 
 def link_gain(led, point, pd, m):
     """Gain of the single link from ``led`` to ``point`` (3,)."""
-    return float(gains_to_points([led], np.asarray(point)[None, :], pd, m)[0, 0])
+    return float(gains_to_points(led[None], np.asarray(point)[None, :], pd, m)[0, 0])
 
 
 def test_lambertian_order_examples():
@@ -50,14 +50,14 @@ def edge_links(led, fov_deg, offset_rad, dz):
     """Points at vertical gaps ``dz`` below ``led`` whose links leave the
     vertical at ``fov_deg`` degrees plus ``offset_rad`` radians."""
     reach = dz * math.tan(math.radians(fov_deg) + offset_rad)
-    return np.column_stack([led.position[0] + reach, np.full(len(dz), led.position[1]),
-                            led.position[2] - dz])
+    return np.column_stack([led[0] + reach, np.full(len(dz), led[1]),
+                            led[2] - dz])
 
 
 def test_nadir_peak_and_sixty_degree_link():
     led = place_leds(SceneConfig())[0]
     gap = 2.15
-    nadir = link_gain(led, led.position - [0.0, 0.0, gap], PD, 1.0)
+    nadir = link_gain(led, led - [0.0, 0.0, gap], PD, 1.0)
     # radiant intensity 1/pi at nadir times the full 1 cm^2 area
     assert nadir == pytest.approx(1 / math.pi * 1e-4 / gap ** 2, rel=1e-13)
     # m = 1 at 60 deg: intensity cos(60)/pi, area 1e-4 cos(60), distance 2 gap
@@ -65,15 +65,15 @@ def test_nadir_peak_and_sixty_degree_link():
     assert link_gain(led, sixty, PD, 1.0) == pytest.approx(
         0.5 / math.pi * 0.5e-4 / (2 * gap) ** 2, rel=1e-12)
     ring = np.random.default_rng(3).uniform(-2, 2, (500, 2))
-    plane = np.column_stack([led.position[:2] + ring, np.full(500, led.position[2] - gap)])
-    assert np.all(gains_to_points([led], plane, PD, 1.0) < nadir)
+    plane = np.column_stack([led[:2] + ring, np.full(500, led[2] - gap)])
+    assert np.all(gains_to_points(led[None], plane, PD, 1.0) < nadir)
 
 
 def test_gain_cutoff_at_85_degree_edge():
     led = place_leds(SceneConfig())[0]
     gaps = np.array([0.5, 2.15])
-    assert np.all(gains_to_points([led], edge_links(led, 85.0001, 0.0, gaps), PD, 1.0) == 0.0)
-    assert np.all(gains_to_points([led], edge_links(led, 84.9999, 0.0, gaps), PD, 1.0) > 0.0)
+    assert np.all(gains_to_points(led[None], edge_links(led, 85.0001, 0.0, gaps), PD, 1.0) == 0.0)
+    assert np.all(gains_to_points(led[None], edge_links(led, 84.9999, 0.0, gaps), PD, 1.0) > 0.0)
 
 
 def test_gains_match_angle_form_on_random_links():
@@ -89,11 +89,11 @@ def test_gains_match_angle_form_on_random_links():
             dz = rng.uniform(0.05, 2.95, 12000)
             reach = dz * np.tan(np.radians(rng.uniform(0.0, 88.0, 12000)))
             azimuth = rng.uniform(0.0, 2 * math.pi, 12000)
-            pts = led.position - np.column_stack([reach * np.cos(azimuth),
+            pts = led - np.column_stack([reach * np.cos(azimuth),
                                                   reach * np.sin(azimuth), dz])
-            delta = led.position - pts
+            delta = led - pts
             expected = angle_form_gain(delta[:, 2], np.linalg.norm(delta, axis=1), pd, m)
-            gains = gains_to_points([led], pts, pd, m)[0]
+            gains = gains_to_points(led[None], pts, pd, m)[0]
             assert np.array_equal(gains == 0.0, expected == 0.0)
             np.testing.assert_allclose(gains, expected, rtol=1e-13, atol=0)
 
@@ -103,8 +103,8 @@ def test_fov_edge_links_fall_on_the_right_side(fov):
     led = place_leds(SceneConfig())[0]
     gaps = np.random.default_rng(int(fov * 10)).uniform(0.1, 2.9, 200)
     pd = PdOptics(fov=fov)
-    assert np.all(gains_to_points([led], edge_links(led, fov, 1e-9, gaps), pd, 1.3) == 0.0)
-    assert np.all(gains_to_points([led], edge_links(led, fov, -1e-9, gaps), pd, 1.3) > 0.0)
+    assert np.all(gains_to_points(led[None], edge_links(led, fov, 1e-9, gaps), pd, 1.3) == 0.0)
+    assert np.all(gains_to_points(led[None], edge_links(led, fov, -1e-9, gaps), pd, 1.3) > 0.0)
 
 
 def test_fov_of_90_degrees_counts_every_link_below_the_leds():
@@ -117,14 +117,13 @@ def test_fov_of_90_degrees_counts_every_link_below_the_leds():
 
 def test_gain_to_range_inverts_gains_on_random_links():
     rng = np.random.default_rng(17)
-    leds = place_leds(SceneConfig())
-    anchors = np.array([led.position for led in leds])
+    anchors = place_leds(SceneConfig())
     pd = PdOptics(fov=90.0)
     for m in (0.65, 1.0, 3.3, 4.82):
         pts = np.column_stack([rng.uniform(-1, 5, 1000), rng.uniform(-1, 5, 1000),
                                rng.uniform(0.1, 2.9, 1000)])
         delta = anchors[:, None, :] - pts[None, :, :]
-        ranges = gain_to_range(gains_to_points(leds, pts, pd, m), delta[:, :, 2], pd, m)
+        ranges = gain_to_range(gains_to_points(anchors, pts, pd, m), delta[:, :, 2], pd, m)
         np.testing.assert_allclose(ranges, np.linalg.norm(delta, axis=2),
                                    rtol=1e-12, atol=0)
 
@@ -168,8 +167,7 @@ def test_gain_matches_closed_form_on_random_links():
                            rng.uniform(0.1, 2.0, 1000)])
     for m in (1.0, 2.0, 4.8188):
         gains = gains_to_points(leds, pts, PD, m)
-        pos = np.array([led.position for led in leds])
-        delta = pos[:, None, :] - pts[None, :, :]
+        delta = leds[:, None, :] - pts[None, :, :]
         dz = delta[:, :, 2]
         dist = np.linalg.norm(delta, axis=2)
         expected = closed_form_gain(dz, dist, PD, m)
@@ -185,7 +183,7 @@ def test_gain_model_matches_gains_and_finite_differences():
     points = np.column_stack([xy, np.full(5, 0.85)])
     assert np.array_equal(gains, gains_to_points(leds, points, PD, 1.5))
     assert np.array_equal(model.gains(xy), gains)
-    delta = np.array([led.position for led in leds])[:, None, :] - points[None, :, :]
+    delta = leds[:, None, :] - points[None, :, :]
     np.testing.assert_allclose(gains, closed_form_gain(delta[:, :, 2],
                                                        np.linalg.norm(delta, axis=2),
                                                        PD, 1.5), rtol=1e-13, atol=0)
@@ -203,7 +201,7 @@ def test_gain_model_matches_gains_and_finite_differences():
 def test_gain_model_gradient_zero_outside_fov():
     led = place_leds(SceneConfig())[0]
     far = np.array([[0.5 + 2.15 * math.tan(math.radians(60)), 0.5]])
-    gains, grads = GainModel([led], PdOptics(fov=30.0), 1.0, 0.85) \
+    gains, grads = GainModel(led[None], PdOptics(fov=30.0), 1.0, 0.85) \
         .gains_and_gradients(far)
     assert gains[0, 0] == 0.0
     assert np.all(grads == 0.0)
@@ -212,9 +210,9 @@ def test_gain_model_gradient_zero_outside_fov():
 def test_gain_decays_with_horizontal_distance():
     led = place_leds(SceneConfig(led_rows=1, led_cols=1))[0]
     radii = np.linspace(0.0, 1.5, 40)
-    pts = np.column_stack([led.position[0] + radii,
-                           np.full(40, led.position[1]), np.full(40, 0.85)])
-    gains = gains_to_points([led], pts, PD, 1.0)[0]
+    pts = np.column_stack([led[0] + radii,
+                           np.full(40, led[1]), np.full(40, 0.85)])
+    gains = gains_to_points(led[None], pts, PD, 1.0)[0]
     assert np.all(np.diff(gains) < 0)
 
 

@@ -458,7 +458,16 @@ def test_dead_cell_sweep_lists_outputs_then_fails(tmp_path, monkeypatch, capsys)
 
 def test_bad_k_list_exits_2_before_the_output_directory(tmp_path, capsys):
     out = tmp_path / "out"
-    assert run_cli(["sweep", "--K-list", "2,x", "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        "error: expected comma-separated integers, got '2,x'\n")
-    assert not out.exists()
+    for argv, message in (
+            (["sweep", "--K-list", "2,x"], "expected comma-separated integers, got '2,x'"),
+            (["sweep", "--trials", "0"], "trials: must be >= 1, got 0"),
+            (["sweep", "--jobs", "0"], "jobs: must be >= 1, got 0"),
+            (["sweep", "--K-list", "500"],
+             "targets_k: must be in [1, 100] for this grid, got 500"),
+            (["sweep", "--snr-list", "nan"],
+             "snr_list: must be nonempty, each a number or inf, got [nan]"),
+            (["simulate", "--K", "101"],
+             "targets_k: must be in [1, 100] for this grid, got 101")):
+        assert run_cli(argv + ["--out-dir", str(out)]) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists(), argv

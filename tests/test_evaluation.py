@@ -6,20 +6,19 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from vlp_sparse import (ConfigError, PdOptics, SceneConfig, aligned_estimates,
-                        build_scene, cell_quantization_floor, gain_to_range,
+from vlp_sparse import (ConfigError, GainModel, PdOptics, SceneConfig,
+                        aligned_estimates, build_scene, cell_quantization_floor, gain_to_range,
                         gains_to_points, match_and_error, place_leds,
                         rss_baseline_locate, run_campaign, run_trial)
 from vlp_sparse import evaluation, measurement
 from vlp_sparse.evaluation import Lateration, _trial_rng
 from vlp_sparse.recovery import LocalizationResult
-from vlp_sparse.scenario import LedAnchor, led_positions
 
 PD = PdOptics()
 
 
-def lateration_of(leds):
-    return Lateration(led_positions(leds), 0.85)
+def lateration_of(leds, m=1.0):
+    return Lateration(GainModel(leds, PD, m, 0.85))
 
 
 def exhaustive_match(est, truth):
@@ -173,7 +172,7 @@ def test_baseline_recovers_noiseless_target():
     cfg = SceneConfig()
     leds = place_leds(cfg)
     gains = gains_to_points(leds, np.array([[1.3, 2.7, 0.85]]), PD, 1.0)[:, 0]
-    est = rss_baseline_locate(gains ** 2, lateration_of(leds), PD, 1.0)
+    est = rss_baseline_locate(gains ** 2, lateration_of(leds))
     assert np.linalg.norm(est - [1.3, 2.7]) < 1e-6
 
 
@@ -184,7 +183,7 @@ def test_baseline_self_consistent_across_interior_positions():
     pts = np.array([[x, y, 0.85] for x in xs for y in xs])
     gains = gains_to_points(leds, pts, PD, 1.0)
     for col, pt in zip(gains.T, pts):
-        est = rss_baseline_locate(col ** 2, lateration_of(leds), PD, 1.0)
+        est = rss_baseline_locate(col ** 2, lateration_of(leds))
         assert np.linalg.norm(est - pt[:2]) < 1e-6
 
 
@@ -194,8 +193,19 @@ def test_baseline_self_consistent_for_fractional_lambertian_order():
     m = lambertian_order(70.0)  # ~= 0.65, non-integer exponent path
     leds = place_leds(cfg)
     gains = gains_to_points(leds, np.array([[3.1, 0.9, 0.85]]), PD, m)[:, 0]
-    est = rss_baseline_locate(gains ** 2, lateration_of(leds), PD, m)
+    est = rss_baseline_locate(gains ** 2, lateration_of(leds, m))
     assert np.linalg.norm(est - [3.1, 0.9]) < 1e-6
+
+
+def test_scene_baseline_inverts_the_law_with_the_scene_optics():
+    # m = lambertian_order(35) ~= 3.47, FOV 60: the default optics (m = 1)
+    # would invert every range wrongly
+    scene = build_scene(SceneConfig(pd=PdOptics(fov=60.0), half_power_angle=35.0))
+    pts = np.array([[1.3, 2.7], [2.0, 2.0], [3.4, 0.6], [0.3, 3.8]])
+    rss = scene.gain_model.gains(pts) ** 2
+    assert np.any(rss == 0.0)  # the narrow FOV cuts some links
+    est = rss_baseline_locate(rss, scene.lateration)
+    np.testing.assert_allclose(est, pts, rtol=0, atol=1e-6)
 
 
 def test_baseline_range_inversion_at_nadir():
@@ -210,14 +220,14 @@ def test_baseline_range_inversion_at_nadir():
 def test_baseline_needs_three_usable_anchors():
     leds = place_leds(SceneConfig())
     with pytest.raises(ValueError, match="positive RSS"):
-        rss_baseline_locate(np.zeros(16), lateration_of(leds), PD, 1.0)
+        rss_baseline_locate(np.zeros(16), lateration_of(leds))
 
 
 def test_baseline_rejects_collinear_anchors():
-    line = [LedAnchor(i, np.array([1.0 + i, 2.0, 3.0])) for i in range(3)]
+    line = np.array([[1.0 + i, 2.0, 3.0] for i in range(3)])
     gains = gains_to_points(line, np.array([[2.0, 2.0, 0.85]]), PD, 1.0)[:, 0]
     with pytest.raises(ValueError, match="collinear"):
-        rss_baseline_locate(gains ** 2, lateration_of(line), PD, 1.0)
+        rss_baseline_locate(gains ** 2, lateration_of(line))
 
 
 def _batch_rss(leds):
@@ -236,10 +246,10 @@ def _batch_rss(leds):
 def test_baseline_batch_equals_column_by_column():
     leds = place_leds(SceneConfig())
     _, rss = _batch_rss(leds)
-    batch = rss_baseline_locate(rss, lateration_of(leds), PD, 1.0)
+    batch = rss_baseline_locate(rss, lateration_of(leds))
     assert batch.shape == (6, 2)
     for t in range(6):
-        single = rss_baseline_locate(rss[:, t], lateration_of(leds), PD, 1.0)
+        single = rss_baseline_locate(rss[:, t], lateration_of(leds))
         assert single.shape == (2,)
         np.testing.assert_allclose(batch[t], single, rtol=0, atol=1e-12)
 
@@ -247,7 +257,7 @@ def test_baseline_batch_equals_column_by_column():
 def _lstsq_lateration(rss, leds, m, receiver_height):
     """Reference: one column at a time through ``lstsq``, nothing cached."""
     usable = rss > 0
-    pos = np.array([led.position for led in leds])[usable]
+    pos = leds[usable]
     gap = pos[:, 2] - receiver_height
     dist = gain_to_range(np.sqrt(rss[usable]), gap, PD, m)
     range_sq = np.maximum(dist * dist - gap * gap, 0.0)
@@ -274,25 +284,25 @@ def _masked_rss(leds):
 
 def test_mask_solves_agree_with_lstsq_column_by_column():
     scene = build_scene(SceneConfig())
-    rss = _masked_rss(scene.leds)
-    batch = rss_baseline_locate(rss, scene.lateration, PD, scene.m)
+    rss = _masked_rss(scene.gain_model.anchors)
+    batch = rss_baseline_locate(rss, scene.lateration)
     for t in range(rss.shape[1]):
-        ref, rank = _lstsq_lateration(rss[:, t], scene.leds, scene.m, 0.85)
+        ref, rank = _lstsq_lateration(rss[:, t], scene.gain_model.anchors,
+                                      scene.gain_model.m, 0.85)
         assert rank == 2
-        single = rss_baseline_locate(rss[:, t], scene.lateration, PD,
-                                     scene.m)
+        single = rss_baseline_locate(rss[:, t], scene.lateration)
         np.testing.assert_allclose(single, ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(batch[t], ref, rtol=0, atol=1e-12)
     # the scene's cached solves and a fresh lateration from the anchors agree
     assert np.array_equal(
-        batch, rss_baseline_locate(rss, lateration_of(scene.leds), PD, scene.m))
+        batch, rss_baseline_locate(rss, Lateration(scene.gain_model)))
 
 
 def test_collinear_error_fires_exactly_where_lstsq_rank_is_below_2():
     # 3-anchor masks of the 4 x 4 layout: those on one row, column or
     # diagonal are collinear
     leds = place_leds(SceneConfig())
-    lateration = Lateration(np.array([led.position for led in leds]), 0.85)
+    lateration = lateration_of(leds)
     gains = gains_to_points(leds, np.array([[2.1, 1.7, 0.85]]), PD, 1.0)[:, 0]
     collinear = 0
     for trio in combinations(range(16), 3):
@@ -302,9 +312,9 @@ def test_collinear_error_fires_exactly_where_lstsq_rank_is_below_2():
         if rank < 2:
             collinear += 1
             with pytest.raises(ValueError, match="collinear"):
-                rss_baseline_locate(rss, lateration, PD, 1.0)
+                rss_baseline_locate(rss, lateration)
         else:
-            rss_baseline_locate(rss, lateration, PD, 1.0)
+            rss_baseline_locate(rss, lateration)
     assert collinear == 44  # 4 rows, 4 columns, 2 diagonals, 4 off-diagonals
     assert len(lateration.solves) == Lateration.MAX_MASKS  # collinear ones kept out
 
@@ -312,24 +322,24 @@ def test_collinear_error_fires_exactly_where_lstsq_rank_is_below_2():
 def test_scene_lateration_keeps_the_baseline_errors():
     scene = build_scene(SceneConfig())
     with pytest.raises(ValueError, match="positive RSS"):
-        rss_baseline_locate(np.zeros(16), scene.lateration, PD, scene.m)
-    gains = gains_to_points(scene.leds, np.array([[2.1, 1.7, 0.85]]), PD,
-                            scene.m)[:, 0]
+        rss_baseline_locate(np.zeros(16), scene.lateration)
+    gains = gains_to_points(scene.gain_model.anchors, np.array([[2.1, 1.7, 0.85]]),
+                            PD, scene.gain_model.m)[:, 0]
     rss = np.where(np.arange(16) < 4, gains ** 2, 0.0)  # one row of anchors
     with pytest.raises(ValueError, match="collinear"):
-        rss_baseline_locate(rss, scene.lateration, PD, scene.m)
+        rss_baseline_locate(rss, scene.lateration)
 
 
 def test_mask_solves_stay_within_their_bound():
     scene = build_scene(SceneConfig())
     lateration = scene.lateration
-    gains = gains_to_points(scene.leds, np.array([[1.3, 2.2, 0.85]]), PD,
-                            scene.m)[:, 0]
+    gains = gains_to_points(scene.gain_model.anchors, np.array([[1.3, 2.2, 0.85]]),
+                            PD, scene.gain_model.m)[:, 0]
     masks = [np.isin(np.arange(16), pair, invert=True)
              for pair in combinations(range(16), 2)]  # 120 14-anchor masks
     for mask in masks + masks:
         rss = np.where(mask, gains ** 2, 0.0)
-        est = rss_baseline_locate(rss, lateration, PD, scene.m)
+        est = rss_baseline_locate(rss, lateration)
         assert len(lateration.solves) <= Lateration.MAX_MASKS
         np.testing.assert_allclose(est, [1.3, 2.2], rtol=0, atol=1e-9)
     assert len(lateration.solves) == Lateration.MAX_MASKS
@@ -342,7 +352,7 @@ def test_mask_solves_difference_the_upper_triangle_and_are_read_only():
         mask = np.isin(np.arange(16), [0, 1, 4] if n == 3 else range(n))
         solve = lateration.for_mask(mask)
         # the map is the least-squares solve of the pairs i < j, differenced
-        pos = lateration.anchors[mask]
+        pos = lateration.gain_model.anchors[mask]
         i, j = np.triu_indices(n, k=1)
         x = rng.uniform(-5.0, 5.0, n)
         ref, _, _, _ = np.linalg.lstsq(2.0 * (pos[i, :2] - pos[j, :2]),
@@ -358,7 +368,7 @@ def test_scene_arrays_are_read_only():
     scene = build_scene(SceneConfig())
     arrays = [scene.gains, scene.corr_fp, scene.power_fp, scene.grid.centers,
               scene.pairs.first, scene.pairs.second, scene.pairs.diagonal_rows,
-              scene.lateration.anchors]
+              scene.gain_model.anchors]
     for data in (scene.corr_dict, scene.power_dict):
         arrays += [data.matrix, data.norms, data.inv_norms]
     for array in arrays:
@@ -374,7 +384,7 @@ def test_baseline_batch_recovers_noiseless_targets():
     pts, _ = _batch_rss(leds)
     rss = gains_to_points(leds, pts, PD, 1.0) ** 2
     rss[[0, 5, 9], 1] = 0.0
-    est = rss_baseline_locate(rss, lateration_of(leds), PD, 1.0)
+    est = rss_baseline_locate(rss, lateration_of(leds))
     assert np.max(np.linalg.norm(est - pts[:, :2], axis=1)) < 1e-6
 
 
@@ -383,7 +393,7 @@ def test_baseline_batch_fails_whole_call_on_one_short_column():
     _, rss = _batch_rss(leds)
     rss[2:, 3] = 0.0
     with pytest.raises(ValueError, match="fewer than 3 anchors with positive RSS"):
-        rss_baseline_locate(rss, lateration_of(leds), PD, 1.0)
+        rss_baseline_locate(rss, lateration_of(leds))
 
 
 def test_trial_noiseless_multi_target_baseline_is_exact():

@@ -355,7 +355,7 @@ def test_locate_cocsm_two_anchor_toy():
     pairs = PairIndexMap.for_anchor_count(2)
     psi = np.array([[9.0], [12.0], [16.0]])
     centers = np.array([[0.5, 0.5, 0.85]])
-    grid = GridModel(nx=1, ny=1, pitch=1.0, height=0.85, centers=centers)
+    grid = GridModel(nx=1, ny=1, pitch=1.0, centers=centers)
     meas = MeasurementVector(np.array([9.0, 12.0, 16.0]), "correlation", 0.0, 0)
     loc = locate_cocsm(meas, psi, 1, 0.0, grid, pairs)
     assert loc.support.tolist() == [0]
@@ -445,7 +445,8 @@ def test_locate_nnls_returns_k_cell_centers_off_grid(scene):
     rng = np.random.default_rng(57)
     targets = sample_targets(scene.grid, 6, False, rng)
     pts = np.column_stack([targets.true_positions, np.full(6, 0.85)])
-    gains = gains_to_points(scene.leds, pts, scene.config.pd, scene.m)
+    gains = gains_to_points(scene.gain_model.anchors, pts, scene.config.pd,
+                            scene.gain_model.m)
     meas = synthesize_snapshot_correlation(gains, 1e-12, 200,
                                            DitherPlan.from_seed(58),
                                            np.random.default_rng(59),

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -36,9 +37,7 @@ def test_grid_and_led_builders_are_pure():
     cfg = SceneConfig()
     a, b = build_grid(cfg), build_grid(cfg)
     assert np.array_equal(a.centers, b.centers)
-    for led_a, led_b in zip(place_leds(cfg), place_leds(cfg)):
-        assert led_a.index == led_b.index
-        assert np.array_equal(led_a.position, led_b.position)
+    assert np.array_equal(place_leds(cfg), place_leds(cfg))
 
 
 def test_cell_of_roundtrips_centers():
@@ -49,24 +48,20 @@ def test_cell_of_roundtrips_centers():
 
 def test_led_lattice_default():
     leds = place_leds(SceneConfig())
-    assert len(leds) == 16
-    xs = sorted({led.position[0] for led in leds})
-    ys = sorted({led.position[1] for led in leds})
-    assert xs == [0.5, 1.5, 2.5, 3.5]
-    assert ys == [0.5, 1.5, 2.5, 3.5]
-    assert all(led.position[2] == 3.0 for led in leds)
-    assert [led.index for led in leds] == list(range(16))
+    # row-major, x fastest: row c + 4 r is the LED in column c and row r
+    expected = [[0.5 + c, 0.5 + r, 3.0] for r in range(4) for c in range(4)]
+    assert leds.tolist() == expected
+    assert not leds.flags.writeable
 
 
 def test_single_led_sits_at_room_center():
     leds = place_leds(SceneConfig(led_rows=1, led_cols=1))
-    assert np.allclose(leds[0].position, [2.0, 2.0, 3.0])
+    assert np.allclose(leds, [[2.0, 2.0, 3.0]])
 
 
 def test_two_by_one_lattice():
     # 2 columns along x, 1 row along y
-    leds = place_leds(SceneConfig(led_rows=1, led_cols=2))
-    pos = np.array([led.position for led in leds])
+    pos = place_leds(SceneConfig(led_rows=1, led_cols=2))
     assert sorted(pos[:, 0].tolist()) == [1.0, 3.0]
     assert set(pos[:, 1].tolist()) == {2.0}
 
@@ -190,6 +185,15 @@ def test_config_json_roundtrip(tmp_path):
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config keys"):
         config_from_dict({"room_sz": [4, 4, 3]})
+
+
+def test_config_from_dict_leaves_its_input_as_it_was():
+    data = {"pd": {"fov": 60.0}, "snapshots": 1e4, "room_size": [4, 4, 3]}
+    before = copy.deepcopy(data)
+    cfg = config_from_dict(data)
+    assert data == before
+    assert type(data["snapshots"]) is float and isinstance(data["pd"], dict)
+    assert cfg.pd == PdOptics(fov=60.0) and cfg.snapshots == 10 ** 4
 
 
 def test_overrides_reach_nested_optics():
