@@ -59,7 +59,7 @@ def gains_to_points(anchors: np.ndarray, points: np.ndarray,
     return _links(anchors, points, pd, m)[2]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GainModel:
     """Continuous gain law of a scene: the links to any receiver position.
 

@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--snr-list", default="20", metavar="DB1,DB2,...")
     sweep.add_argument("--trials", type=int, default=200)
     sweep.add_argument("--jobs", type=int, default=1,
-                       help="parallel worker processes")
+                       help="processes running the trials")
     sweep.add_argument("--from-manifest", metavar="PATH",
                        help="rerun the sweep recorded in a manifest")
     return parser

@@ -9,7 +9,7 @@ distance, reduce to horizontal ranges, and solve the pairwise-differenced
 circle equations by linear least squares.
 
 Trials are deterministic given (config, seed): every trial derives its own
-substreams, so campaigns can run cells in parallel and still aggregate
+substreams, so campaigns can run trials in parallel and still aggregate
 results that are independent of the job count.
 """
 
@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-# the pool's start method and locks, so that a campaign imports nothing
-import multiprocessing.popen_fork  # noqa: F401
-import multiprocessing.synchronize  # noqa: F401
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +40,7 @@ from .scenario import (SCHEMES, ConfigError, GridModel, SceneConfig, build_grid,
                        sample_targets, snr_to_noise_variance)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scene:
     """Everything derived from a config that trials share, read-only."""
 
@@ -358,27 +358,38 @@ def _trial_rng(seed: int, cell_idx: int, trial: int) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(cell_idx, trial)))
 
 
-_worker_scene: Scene | None = None  # set per pool worker
+def _run_share(units, share: int, jobs: int,
+               scene: Scene) -> list[dict[str, TrialResult]]:
+    """Units ``share``, ``share + jobs``, ... of (config, cell, SNR, trial)."""
+    return [run_trial(config, _trial_rng(config.seed, cell_idx, t), scene=scene,
+                      snr_db=snr_db, schemes=SCHEMES)
+            for config, cell_idx, snr_db, t in units[share::jobs]]
 
 
-def _init_worker(scene: Scene) -> None:
-    global _worker_scene
-    _worker_scene = scene
-
-
-def _cell_trials(scene: Scene, config: SceneConfig, cell_idx: int, k: int,
-                 snr_db: float, trials: int, schemes) -> list[dict[str, TrialResult]]:
-    cell_config = dataclasses.replace(config, targets_k=k)
-    return [run_trial(cell_config, _trial_rng(config.seed, cell_idx, t),
-                      scene=scene, snr_db=snr_db, schemes=schemes)
-            for t in range(trials)]
-
-
-def _run_cell(task) -> list[dict[str, TrialResult]]:
-    """Pool entry: one cell's trials on the scene the worker started with."""
-    if _worker_scene is None:
-        raise RuntimeError("no scene: call _init_worker before _run_cell")
-    return _cell_trials(_worker_scene, *task)
+def _fork_share(units, share: int, jobs: int, scene: Scene) -> tuple[int, object]:
+    """Fork a child that runs ``_run_share`` and leaves by ``os._exit``, never
+    returning into the caller's code; return its pid and a pipe that brings
+    back its pickled trials or exception (as traceback text if unpicklable)."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
+    try:
+        try:
+            data = pickle.dumps(_run_share(units, share, jobs, scene))
+        except BaseException as exc:
+            try:
+                data = pickle.dumps(exc)
+                pickle.loads(data)  # would it unpickle in the parent?
+            except Exception:
+                data = pickle.dumps(RuntimeError(
+                    "".join(traceback.format_exception(exc))))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(data)
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 def run_campaign(config: SceneConfig, k_list, snr_list, trials: int,
@@ -388,8 +399,9 @@ def run_campaign(config: SceneConfig, k_list, snr_list, trials: int,
     Per-trial substreams depend only on (seed, cell index, trial index), so
     the report is identical for any ``jobs``.  Solver failures inside a trial
     are counted and excluded from the error statistics.  The scene depends on
-    neither K nor SNR, so it is built once and handed to each pool worker
-    when the worker starts, not with every cell.
+    neither K nor SNR, so it is built once.  Unit u, the u-th (cell, trial)
+    pair, goes to share ``u % jobs``: the caller runs share 0 and forked
+    children the rest (the caller runs all where ``os.fork`` does not exist).
 
     Raises :class:`ConfigError` before any trial runs on ``trials`` or
     ``jobs`` below 1, an empty ``k_list`` or ``snr_list``, a NaN or -inf
@@ -406,22 +418,40 @@ def run_campaign(config: SceneConfig, k_list, snr_list, trials: int,
         if not valid:
             raise ConfigError(f"{key}: {rule}, got {value}")
     cells = [(k, snr) for k in k_list for snr in snr_list]
-    tasks = [(config, idx, k, snr, trials, SCHEMES)
-             for idx, (k, snr) in enumerate(cells)]
     scene = build_scene(config)
     for k in k_list:
         check_targets_k(scene.grid, k)
-    load_solver(config.solver)  # once here, not in each forked worker
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                                 initargs=(scene,)) as pool:
-            cell_results = list(pool.map(_run_cell, tasks))
-    else:
-        cell_results = [_cell_trials(scene, *task) for task in tasks]
+    load_solver(config.solver)  # once here, not in each forked child
+    cell_configs = {k: dataclasses.replace(config, targets_k=k) for k in k_list}
+    units = [(cell_configs[k], idx, snr, t)
+             for idx, (k, snr) in enumerate(cells) for t in range(trials)]
+    jobs = min(jobs, len(units)) if hasattr(os, "fork") else 1
+    children, statuses = [], []
+    try:
+        for share in range(1, jobs):
+            children.append(_fork_share(units, share, jobs, scene))
+        shares = [_run_share(units, 0, jobs, scene)]
+        replies = [pipe.read() for _, pipe in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for data, status in zip(replies, statuses):
+        reply = pickle.loads(data) if data else RuntimeError(
+            f"a campaign child ended with exit status {status} and no result")
+        if isinstance(reply, BaseException):
+            raise reply
+        shares.append(reply)
+    trial_results = [shares[u % jobs][u // jobs] for u in range(len(units))]
 
     rows: list[dict] = []
     records: dict = {}
-    for (k, snr), per_trial in zip(cells, cell_results):
+    for idx, (k, snr) in enumerate(cells):
+        per_trial = trial_results[idx * trials:(idx + 1) * trials]
         for scheme in SCHEMES:
             trial_list = [d[scheme] for d in per_trial]
             records[(k, snr, scheme)] = trial_list

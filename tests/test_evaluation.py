@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import warnings
 from itertools import combinations, permutations
 
@@ -11,7 +12,7 @@ from vlp_sparse import (ConfigError, GainModel, PdOptics, SceneConfig,
                         gains_to_points, match_and_error, place_leds,
                         rss_baseline_locate, run_campaign, run_trial)
 from vlp_sparse import evaluation, measurement
-from vlp_sparse.evaluation import Lateration, _trial_rng
+from vlp_sparse.evaluation import Lateration, Scene, _trial_rng
 from vlp_sparse.recovery import LocalizationResult
 
 PD = PdOptics()
@@ -502,6 +503,13 @@ def test_trial_fails_on_a_short_support(monkeypatch):
     assert not results["rss_baseline"].failed
 
 
+def test_scene_and_gain_model_compare_by_identity_and_hash():
+    a, b = build_scene(SceneConfig()), build_scene(SceneConfig())
+    assert a == a and a != b
+    assert a.gain_model == a.gain_model and a.gain_model != b.gain_model
+    assert len({a, b, a.gain_model, b.gain_model}) == 4
+
+
 def test_scene_power_fingerprint_is_the_squared_gains():
     scene = build_scene(SceneConfig())
     assert scene.power_fp.shape == scene.gains.shape
@@ -575,11 +583,25 @@ def test_campaign_prefix_is_stable_when_trials_grow():
         assert [t.error_m for t in a] == [t.error_m for t in b]
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_campaign_rows_independent_of_jobs():
+    # and every trial's error and support, on 4 cells: 4 units (fewer than 7
+    # jobs) and 20 units (not a multiple of 3 or 7)
     cfg = SceneConfig(targets_k=2, snapshots=20, seed=11)
-    r1 = run_campaign(cfg, [2, 4], [18.0], trials=3, jobs=1)
-    r2 = run_campaign(cfg, [2, 4], [18.0], trials=3, jobs=2)
-    assert r1.rows == r2.rows
+    for trials in (1, 5):
+        outcomes = []
+        for jobs in (1, 2, 3, 7):
+            report = run_campaign(cfg, [2, 4], [18.0, math.inf], trials, jobs=jobs)
+            assert_no_child_left()
+            outcomes.append((report.rows, {
+                key: [(t.error_m, t.support) for t in records]
+                for key, records in report.trial_records.items()}))
+        for outcome in outcomes[1:]:
+            np.testing.assert_equal(outcome, outcomes[0])
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -600,11 +622,49 @@ def test_campaign_builds_one_scene(monkeypatch, tmp_path, jobs):
 
 
 def test_serial_campaign_releases_its_scene():
-    # a scene left behind would be inherited by the next campaign's workers
+    # a scene left behind would be inherited by the next campaign's children
     cfg = SceneConfig(snapshots=20, seed=15)
     run_campaign(cfg, [2], [10.0], trials=1, jobs=1)
-    with pytest.raises(RuntimeError, match="no scene"):
-        evaluation._run_cell((cfg, 0, 2, 10.0, 1, ("csm",)))
+    assert not [name for name, value in vars(evaluation).items()
+                if isinstance(value, Scene)]
+
+
+class TwoArgError(Exception):
+    """Pickles, but does not unpickle: its args do not fit ``__init__``."""
+
+    def __init__(self, first, second):
+        super().__init__(f"{first} {second}")
+
+
+@pytest.mark.parametrize("where,fail,match", [
+    ("child", "raise", "^trial failed$"),
+    ("caller", "raise", "^trial failed$"),
+    ("child", "unpicklable", "LocalError: trial failed"),
+    ("child", "unloadable", "TwoArgError: trial failed"),
+    ("child", "exit", "exit status 3 and no result"),
+])
+def test_a_share_that_fails_raises_in_the_caller(monkeypatch, where, fail, match):
+    class LocalError(Exception):
+        pass
+
+    caller = os.getpid()
+    run_trial = evaluation.run_trial
+
+    def failing_run_trial(*args, **kwargs):
+        if (os.getpid() == caller) != (where == "caller"):
+            return run_trial(*args, **kwargs)
+        if fail == "unpicklable":
+            raise LocalError("trial failed")
+        if fail == "unloadable":
+            raise TwoArgError("trial", "failed")
+        if fail == "exit":
+            os._exit(3)
+        raise RuntimeError("trial failed")
+
+    monkeypatch.setattr(evaluation, "run_trial", failing_run_trial)
+    with pytest.raises(RuntimeError, match=match):
+        run_campaign(SceneConfig(snapshots=20, seed=3), [2, 3], [10.0], 2, jobs=3)
+    assert_no_child_left()
 
 
 def test_campaign_row_order_and_counts():

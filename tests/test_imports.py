@@ -29,24 +29,24 @@ def run_fresh(*parts: str):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-# Wraps the pool entry so that each worker reports what its cells imported;
-# the wrapper takes the original's name, so the pool pickles it by reference.
+# Wraps the share runner, which run_campaign looks up in evaluation's globals
+# and its forked children inherit, so that each process reports what its
+# trials imported.
 WORKER_PROBE = """
     import json, os, shutil, sys, tempfile
     from vlp_sparse import SceneConfig, evaluation, run_campaign
 
     log_dir = tempfile.mkdtemp()
-    original = evaluation._run_cell
+    original = evaluation._run_share
 
-    def _run_cell(task):
+    def _run_share(*args):
         before = set(sys.modules)
-        result = original(task)
+        result = original(*args)
         with open(os.path.join(log_dir, str(os.getpid())), "a") as fh:
             fh.write(json.dumps(sorted(set(sys.modules) - before)) + "\\n")
         return result
 
-    _run_cell.__module__ = evaluation.__name__
-    evaluation._run_cell = _run_cell
+    evaluation._run_share = _run_share
 
     def worker_imports():
         found = {}
@@ -64,6 +64,16 @@ def test_importing_the_package_and_cli_loads_no_scipy():
         import json, sys
         import vlp_sparse, vlp_sparse.cli
         print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
+    """)
+    assert loaded == []
+
+
+def test_importing_the_package_and_cli_loads_no_process_pool():
+    loaded = run_fresh("""
+        import json, sys
+        import vlp_sparse, vlp_sparse.cli
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0]
+                                in ("concurrent", "multiprocessing"))))
     """)
     assert loaded == []
 
@@ -103,7 +113,7 @@ def test_an_omp_campaign_imports_nothing_in_the_parent_or_a_worker():
                           "workers": worker_imports()}))
     """)
     assert found["parent"] == []
-    assert found["workers"], "the campaign ran no cell in a worker"
+    assert found["workers"], "the campaign ran no share in a child"
     assert all(new == [] for new in found["workers"].values()), found
 
 
@@ -126,5 +136,5 @@ def test_an_nnls_campaign_loads_scipy_before_its_workers_fork():
         assert not any(row["failures"] for row in report.rows)
         print(json.dumps({"workers": worker_imports()}))
     """)
-    assert found["workers"], "the campaign ran no cell in a worker"
+    assert found["workers"], "the campaign ran no share in a child"
     assert all(new == [] for new in found["workers"].values()), found
