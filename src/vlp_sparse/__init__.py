@@ -11,12 +11,11 @@ __version__ = "0.1.0"
 import numpy.random  # noqa: F401  numpy 2 would load it at a trial's first draw
 
 from .channel import (GainModel, PairIndexMap, build_correlation_fingerprint,
-                      gains_to_points, lambertian_order)
+                      gain_to_range, gains_to_points, lambertian_order)
 from .evaluation import (CampaignReport, Scene, TrialResult,
                          aligned_estimates, build_scene,
-                         cell_quantization_floor, gain_to_range,
-                         match_and_error, rss_baseline_locate, run_campaign,
-                         run_trial)
+                         cell_quantization_floor, match_and_error,
+                         rss_baseline_locate, run_campaign, run_trial)
 from .measurement import (CORRELATION, POWER, DitherPlan, MeasurementVector,
                           indicator_from_cells, remove_noise_floor,
                           synthesize_ideal_correlation, synthesize_ideal_power,

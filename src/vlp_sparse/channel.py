@@ -7,7 +7,8 @@ and Barry 1997) is
 
     g = C dz^(m+1) / d^(m+3),   C = (m+1)/(2 pi) * area * filter * concentrator
 
-and exactly 0 where ``dz / d < cos(fov)``.  Gains are real and nonnegative;
+and exactly 0 where ``dz / d < cos(fov)``; ``gain_to_range`` inverts it for
+``d``.  Gains are real and nonnegative;
 the correlation fingerprint takes products over anchor pairs, and its
 i == j rows, the squared gains, are the power fingerprint.
 """
@@ -48,6 +49,13 @@ def _links(anchors: np.ndarray, points: np.ndarray, pd: PdOptics, m: float):
     return delta, dist_sq, gains
 
 
+def gain_to_range(gain, vertical_gap, pd: PdOptics, m: float):
+    """The law inverted: link distance ``d`` from a gain and its vertical gap,
+    ``d = (C dz^(m+1) / g)^(1/(m+3))``."""
+    return (gain_coefficient(pd, m) * vertical_gap ** (m + 1.0) / gain) \
+        ** (1.0 / (m + 3.0))
+
+
 def gains_to_points(anchors: np.ndarray, points: np.ndarray,
                     pd: PdOptics, m: float) -> np.ndarray:
     """Channel gains from every anchor (M, 3) to every receiver point (P, 3).
@@ -63,9 +71,10 @@ def gains_to_points(anchors: np.ndarray, points: np.ndarray,
 class GainModel:
     """Continuous gain law of a scene: the links to any receiver position.
 
-    The one home of the anchors (M, 3) and of the law's parameters.
-    Fingerprints sample it at cell centers, refinement evaluates it and its
-    gradient at free positions on the receiver plane, lateration inverts it.
+    The one home of the anchors (M, 3), of the law's parameters and of the
+    receiver height.  Fingerprints sample it at cell centers, refinement
+    evaluates it and its gradient at free positions on the receiver plane,
+    lateration inverts it.
     """
 
     anchors: np.ndarray

@@ -72,22 +72,17 @@ def _jsonable(value):
 def cmd_fingerprint(config: SceneConfig, out_dir: str):
     """Write the gain matrix and both fingerprints plus a metadata sidecar."""
     scene = build_scene(config)
-    paths = {
-        "H.csv": scene.gains,
-        "J.csv": scene.power_fp,
-        "Psi.csv": scene.corr_fp,
-    }
+    matrices = {"H": scene.gains, "J": scene.power_dict.matrix,
+                "Psi": scene.corr_dict.matrix}
     written = []
     os.makedirs(out_dir, exist_ok=True)  # only now: a rejected input leaves none
-    for name, matrix in paths.items():
-        path = os.path.join(out_dir, name)
+    for name, matrix in matrices.items():
+        path = os.path.join(out_dir, f"{name}.csv")
         _write_matrix_csv(path, matrix)
         written.append(path)
     meta = {
         "config": config_to_dict(config),
-        "shapes": {"H": list(scene.gains.shape),
-                   "J": list(scene.power_fp.shape),
-                   "Psi": list(scene.corr_fp.shape)},
+        "shapes": {name: list(matrix.shape) for name, matrix in matrices.items()},
         "pair_order": "Psi rows follow anchor pairs (i, j), i <= j, "
                       "in lexicographic order; i == j rows equal rows of J",
         "pairs": [[int(i), int(j)] for i, j in
@@ -269,8 +264,12 @@ def main(argv=None) -> int:
         if getattr(args, "from_manifest", None):
             with open(args.from_manifest) as fh:
                 manifest = json.load(fh)
-            if "config" not in manifest or "sweep" not in manifest:
+            if not isinstance(manifest, dict) \
+                    or "config" not in manifest or "sweep" not in manifest:
                 raise ConfigError(f"{args.from_manifest}: not a sweep manifest")
+            if not isinstance(manifest["config"], dict):
+                raise ConfigError(f"{args.from_manifest}: the config must be an "
+                                  f"object, got {manifest['config']!r}")
             for key in ("k_list", "snr_list", "trials"):
                 if not isinstance(manifest["sweep"], dict) \
                         or key not in manifest["sweep"]:

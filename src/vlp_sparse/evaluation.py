@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import (GainModel, PairIndexMap, build_correlation_fingerprint,
-                      gain_coefficient, gains_to_points, lambertian_order)
+                      gain_to_range, gains_to_points, lambertian_order)
 from .measurement import (POWER, DitherPlan, MeasurementVector,
                           indicator_from_cells, remove_noise_floor,
                           synthesize_single_target_powers,
@@ -35,8 +35,8 @@ from .measurement import (POWER, DitherPlan, MeasurementVector,
 from .measurement import synthesize_snapshot_power  # noqa: F401
 from .recovery import (Dictionary, LocalizationResult, load_solver,
                        locate_cocsm, locate_csm)
-from .scenario import (SCHEMES, ConfigError, GridModel, SceneConfig, build_grid,
-                       check_targets_k, place_leds, realized_snr_db,
+from .scenario import (SCHEMES, ConfigError, GridModel, SceneConfig, _is_integer,
+                       build_grid, check_targets_k, place_leds, realized_snr_db,
                        sample_targets, snr_to_noise_variance)
 
 
@@ -48,11 +48,9 @@ class Scene:
     grid: GridModel
     gain_model: GainModel  # the anchors and the law of every link
     gains: np.ndarray  # (M, N): gain_model at the cell centers
-    corr_fp: np.ndarray  # (M(M+1)/2, N)
     pairs: PairIndexMap
-    power_fp: np.ndarray  # (M, N): the diagonal-pair rows of corr_fp
-    corr_dict: Dictionary  # solver data of corr_fp
-    power_dict: Dictionary  # solver data of power_fp
+    corr_dict: Dictionary  # the correlation fingerprint (M(M+1)/2, N)
+    power_dict: Dictionary  # the power fingerprint (M, N): its diagonal-pair rows
     lateration: Lateration  # the baseline's per-mask solves
 
 
@@ -61,13 +59,12 @@ def build_scene(config: SceneConfig) -> Scene:
     model = GainModel(place_leds(config), config.pd,
                       lambertian_order(config.half_power_angle),
                       config.receiver_height)
-    gains = gains_to_points(model.anchors, grid.centers, model.pd, model.m)
+    gains = model.gains(grid.centers)
     corr_fp, pairs = build_correlation_fingerprint(gains)
     power_fp = corr_fp[pairs.diagonal_rows]
-    for array in (gains, corr_fp, power_fp):
+    for array in (gains, corr_fp, power_fp):  # and so the bases of the dicts' views
         array.setflags(write=False)
-    return Scene(config=config, grid=grid, gain_model=model, gains=gains,
-                 corr_fp=corr_fp, pairs=pairs, power_fp=power_fp,
+    return Scene(config=config, grid=grid, gain_model=model, gains=gains, pairs=pairs,
                  corr_dict=Dictionary.of(corr_fp), power_dict=Dictionary.of(power_fp),
                  lateration=Lateration(model))
 
@@ -207,12 +204,6 @@ def aligned_estimates(est, truth) -> np.ndarray:
     return aligned
 
 
-def gain_to_range(gain, vertical_gap, pd, m: float):
-    """Link distance ``d`` from ``channel``'s law ``gain = C dz^(m+1) / d^(m+3)``."""
-    return (gain_coefficient(pd, m) * vertical_gap ** (m + 1.0) / gain) \
-        ** (1.0 / (m + 3.0))
-
-
 @dataclass(frozen=True, eq=False)
 class Lateration:
     """Pairwise-differenced circle equations of a gain model's anchors: each
@@ -294,7 +285,7 @@ def run_trial(config: SceneConfig, rng: np.random.Generator,
     targets = sample_targets(scene.grid, k, config.on_grid,
                              np.random.default_rng(seeds[0]))
     indicator = indicator_from_cells(targets.true_cells, scene.grid.n)
-    signal = scene.power_fp @ indicator
+    signal = scene.power_dict.matrix @ indicator
     mean_signal = float(signal.sum() / signal.size)
     noise_variance = (config.noise_variance if snr_db is None
                       else snr_to_noise_variance(mean_signal, snr_db))
@@ -315,22 +306,19 @@ def run_trial(config: SceneConfig, rng: np.random.Generator,
             if scheme == "csm":  # the anchor-with-itself rows are powers
                 meas = MeasurementVector(corr.values[scene.pairs.diagonal_rows],
                                          POWER, noise_variance, config.snapshots)
-                loc = locate_csm(meas, scene.power_dict, k, noise_variance,
-                                 scene.grid, solver=config.solver,
-                                 gain_model=scene.gain_model)
+                loc = locate_csm(meas, scene.power_dict, k, scene.grid,
+                                 solver=config.solver, gain_model=scene.gain_model)
             elif scheme == "cocsm":
                 meas = corr
-                loc = locate_cocsm(meas, scene.corr_dict, k, noise_variance,
-                                   scene.grid, scene.pairs, solver=config.solver,
-                                   gain_model=scene.gain_model)
+                loc = locate_cocsm(meas, scene.corr_dict, k, scene.grid, scene.pairs,
+                                   solver=config.solver, gain_model=scene.gain_model)
             elif scheme == "rss_baseline":  # each target measured alone
                 meas = MeasurementVector(synthesize_single_target_powers(
                     target_gains, noise_variance, config.snapshots,
                     np.random.default_rng(seeds[3])), POWER, noise_variance,
                     config.snapshots)
-                est = rss_baseline_locate(
-                    remove_noise_floor(meas, noise_variance).values,
-                    scene.lateration)
+                est = rss_baseline_locate(remove_noise_floor(meas).values,
+                                          scene.lateration)
                 loc = LocalizationResult(est, np.sort(scene.grid.cell_of(est)), scheme)
             else:
                 raise ValueError(f"unknown scheme '{scheme}'")
@@ -350,6 +338,14 @@ def run_trial(config: SceneConfig, rng: np.random.Generator,
                 failure=f"{type(exc).__name__}: {exc}",
                 true_positions=targets.true_positions)
     return results
+
+
+def _as_number(value) -> float | None:
+    """A number or a string that ``float`` reads, as a float; else (a bool too) None."""
+    try:
+        return None if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 def _trial_rng(seed: int, cell_idx: int, trial: int) -> np.random.Generator:
@@ -404,11 +400,23 @@ def run_campaign(config: SceneConfig, k_list, snr_list, trials: int,
     children the rest (the caller runs all where ``os.fork`` does not exist).
 
     Raises :class:`ConfigError` before any trial runs on ``trials`` or
-    ``jobs`` below 1, an empty ``k_list`` or ``snr_list``, a NaN or -inf
-    SNR (``inf`` is noiseless), or a K outside 1..N/4.
+    ``jobs`` that is no integer >= 1, a ``k_list`` that is no nonempty list
+    of integers, an ``snr_list`` that is no nonempty list of numbers or of
+    strings that ``float`` reads (a manifest writes inf as "inf"), a NaN or
+    -inf SNR (``inf`` is noiseless), or a K outside 1..N/4.
     """
-    k_list = [int(k) for k in k_list]
-    snr_list = [float(s) for s in snr_list]
+    snrs = ([_as_number(s) for s in snr_list]
+            if isinstance(snr_list, (list, tuple)) else [None])
+    for key, value, valid, rule in (
+            ("trials", trials, _is_integer(trials), "must be an integer"),
+            ("jobs", jobs, _is_integer(jobs), "must be an integer"),
+            ("k_list", k_list, isinstance(k_list, (list, tuple))
+             and all(map(_is_integer, k_list)), "must be a list of integers"),
+            ("snr_list", snr_list, None not in snrs,
+             "must be a list of numbers or strings that read as one")):
+        if not valid:
+            raise ConfigError(f"{key}: {rule}, got {value!r}")
+    k_list, snr_list = [int(k) for k in k_list], snrs
     for key, value, valid, rule in (
             ("trials", trials, trials >= 1, "must be >= 1"),
             ("jobs", jobs, jobs >= 1, "must be >= 1"),

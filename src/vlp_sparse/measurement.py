@@ -299,22 +299,23 @@ def synthesize_single_target_powers(target_gains: np.ndarray,
     return (root * root + noise_variance * rest) / snapshots
 
 
-def remove_noise_floor(meas: MeasurementVector, noise_variance: float,
+def remove_noise_floor(meas: MeasurementVector,
                        pairs: PairIndexMap | None = None) -> MeasurementVector:
-    """Subtract the calibrated noise floor, clamping at zero.
+    """Subtract the measurement's own noise floor, ``meas.noise_variance``,
+    clamping at zero.
 
     Power models carry the floor on every entry, correlation models only on
     their diagonal-pair rows (independent noise has no cross floor).
     """
     values = meas.values.copy()
     if meas.model == POWER:
-        values -= noise_variance
+        values -= meas.noise_variance
     elif meas.model == CORRELATION:
         if pairs is None:
             raise ValueError("correlation floor removal needs the pair map")
         if pairs.n_pairs != values.size:
             raise ValueError("pair map does not match the measurement length")
-        values[pairs.diagonal_rows] -= noise_variance
+        values[pairs.diagonal_rows] -= meas.noise_variance
     else:
         raise ValueError(f"unknown measurement model '{meas.model}'")
     np.maximum(values, 0.0, out=values)

@@ -279,7 +279,7 @@ def _distinct_cells(grid: GridModel, xy: np.ndarray) -> np.ndarray:
     """
     cells = grid.cell_of(xy)
     k = len(cells)
-    dist = np.linalg.norm(xy[:, None, :] - grid.centers[None, :, :2], axis=2)
+    dist = np.linalg.norm(xy[:, None, :] - grid.centers[None], axis=2)
     order = np.lexsort((np.arange(k), dist[np.arange(k), cells]))
     taken = np.zeros(grid.n, dtype=bool)
     displaced = []
@@ -321,30 +321,31 @@ def _locate(scheme: str, fp: np.ndarray | Dictionary, b: np.ndarray, k: int,
 
 
 def locate_csm(meas: MeasurementVector, power_fp: np.ndarray | Dictionary,
-               k: int, noise_variance: float, grid: GridModel, solver: str = "omp",
+               k: int, grid: GridModel, solver: str = "omp",
                gain_model: GainModel | None = None) -> LocalizationResult:
     """Power-measurement pipeline: floor removal, sparse solve, cells to centers.
 
-    ``gain_model`` is used, and required, only by the ``nnls`` solver.
+    The floor is the noise variance ``meas`` carries.  ``gain_model`` is
+    used, and required, only by the ``nnls`` solver.
     """
     if meas.model != POWER:
         raise ValueError("csm expects a power measurement")
-    b = remove_noise_floor(meas, noise_variance).values
+    b = remove_noise_floor(meas).values
     anchors = np.arange(b.size)
-    return _locate("csm", power_fp, b, k, noise_variance, grid, anchors,
+    return _locate("csm", power_fp, b, k, meas.noise_variance, grid, anchors,
                    anchors, solver, gain_model)
 
 
 def locate_cocsm(meas: MeasurementVector, corr_fp: np.ndarray | Dictionary,
-                 k: int, noise_variance: float, grid: GridModel,
-                 pairs: PairIndexMap, solver: str = "omp",
+                 k: int, grid: GridModel, pairs: PairIndexMap, solver: str = "omp",
                  gain_model: GainModel | None = None) -> LocalizationResult:
     """Correlation-measurement pipeline with diagonal-row floor removal.
 
-    ``gain_model`` is used, and required, only by the ``nnls`` solver.
+    The floor is the noise variance ``meas`` carries.  ``gain_model`` is
+    used, and required, only by the ``nnls`` solver.
     """
     if meas.model != CORRELATION:
         raise ValueError("cocsm expects a correlation measurement")
-    b = remove_noise_floor(meas, noise_variance, pairs).values
-    return _locate("cocsm", corr_fp, b, k, noise_variance, grid, pairs.first,
+    b = remove_noise_floor(meas, pairs).values
+    return _locate("cocsm", corr_fp, b, k, meas.noise_variance, grid, pairs.first,
                    pairs.second, solver, gain_model)

@@ -36,6 +36,10 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    return _is_real(value) and isinstance(value, numbers.Integral)
+
+
 def _require_field_types(config) -> None:
     """Reject by name a float field that holds no finite real number, an int
     field no integer, or a bool field no bool; a bool is no number."""
@@ -46,8 +50,7 @@ def _require_field_types(config) -> None:
             _require(abs(value) <= sys.float_info.max,  # no inf, NaN or huge int
                      f.name, f"must be finite, got {value!r}")
         elif f.type == "int":
-            _require(_is_real(value) and isinstance(value, numbers.Integral),
-                     f.name, f"must be an integer, got {value!r}")
+            _require(_is_integer(value), f.name, f"must be an integer, got {value!r}")
         elif f.type == "bool":
             _require(isinstance(value, bool), f.name, f"must be true or false, got {value!r}")
 
@@ -144,17 +147,17 @@ class SceneConfig:
 
 @dataclass(frozen=True)
 class GridModel:
-    """Discrete localization grid: cell centers at receiver height.
+    """Discrete localization grid on the floor plan, which has no height.
 
     Cells are indexed row-major with x fastest: cell ``j`` covers
     ``(ix, iy) = (j % nx, j // nx)`` and its center is
-    ``((ix + 0.5) * pitch, (iy + 0.5) * pitch, receiver_height)``.
+    ``((ix + 0.5) * pitch, (iy + 0.5) * pitch)``.
     """
 
     nx: int
     ny: int
     pitch: float
-    centers: np.ndarray  # (N, 3), read-only
+    centers: np.ndarray  # (N, 2), read-only
 
     @property
     def n(self) -> int:
@@ -169,7 +172,7 @@ class GridModel:
 
     def centers_of(self, cells: Sequence[int]) -> np.ndarray:
         """(len(cells), 2) array of cell-center (x, y) coordinates."""
-        return self.centers[np.asarray(cells, dtype=int), :2]
+        return self.centers[np.asarray(cells, dtype=int)]
 
 
 @dataclass(frozen=True)
@@ -198,11 +201,7 @@ def build_grid(config: SceneConfig) -> GridModel:
     ix = np.arange(nx)
     iy = np.arange(ny)
     gx, gy = np.meshgrid(ix, iy)  # iy varies along rows -> x fastest when flattened
-    centers = np.column_stack([
-        (gx.ravel() + 0.5) * pitch,
-        (gy.ravel() + 0.5) * pitch,
-        np.full(nx * ny, config.receiver_height),
-    ])
+    centers = np.column_stack([(gx.ravel() + 0.5) * pitch, (gy.ravel() + 0.5) * pitch])
     centers.setflags(write=False)
     return GridModel(nx=nx, ny=ny, pitch=pitch, centers=centers)
 

@@ -66,9 +66,9 @@ def test_criterion_02_fingerprint_structure():
     """Psi has M(M+1)/2 rows, embeds J on i==j rows, and matches the dense model."""
     started = time.monotonic()
     scene = build_scene(SceneConfig())
-    assert scene.corr_fp.shape == (136, 400)
-    assert np.array_equal(scene.corr_fp[scene.pairs.diagonal_rows],
-                          scene.power_fp)
+    assert scene.corr_dict.matrix.shape == (136, 400)
+    assert np.array_equal(scene.corr_dict.matrix[scene.pairs.diagonal_rows],
+                          scene.power_dict.matrix)
     rng = np.random.default_rng(102)
     for _ in range(100):
         k = int(rng.integers(1, 11))
@@ -76,7 +76,7 @@ def test_criterion_02_fingerprint_structure():
         theta = indicator_from_cells(cells, 400)
         dense = scene.gains @ np.diag(theta) @ scene.gains.T
         np.testing.assert_allclose(
-            scene.corr_fp @ theta,
+            scene.corr_dict.matrix @ theta,
             dense[scene.pairs.first, scene.pairs.second], rtol=1e-12, atol=0)
     _report(2, "fingerprint-structure", started)
 
@@ -87,13 +87,13 @@ def test_criterion_03_single_target_exhaustive_sweep():
     scene = build_scene(SceneConfig())
     for cell in range(scene.grid.n):
         theta = indicator_from_cells([cell], scene.grid.n)
-        meas_p = synthesize_ideal_power(scene.power_fp, theta, 0.0)
-        loc_p = locate_csm(meas_p, scene.power_fp, 1, 0.0, scene.grid,
+        meas_p = synthesize_ideal_power(scene.power_dict.matrix, theta, 0.0)
+        loc_p = locate_csm(meas_p, scene.power_dict.matrix, 1, scene.grid,
                            solver="omp")
         assert loc_p.support.tolist() == [cell], f"csm missed cell {cell}"
-        meas_c = synthesize_ideal_correlation(scene.corr_fp, theta, 0.0,
+        meas_c = synthesize_ideal_correlation(scene.corr_dict.matrix, theta, 0.0,
                                               scene.pairs)
-        loc_c = locate_cocsm(meas_c, scene.corr_fp, 1, 0.0, scene.grid,
+        loc_c = locate_cocsm(meas_c, scene.corr_dict.matrix, 1, scene.grid,
                              scene.pairs, solver="omp")
         assert loc_c.support.tolist() == [cell], f"cocsm missed cell {cell}"
     elapsed = time.monotonic() - started
@@ -128,8 +128,8 @@ def test_criterion_05_snapshot_convergence():
     targets = sample_targets(scene.grid, 4, True, np.random.default_rng(105))
     theta = indicator_from_cells(targets.true_cells, scene.grid.n)
     gains = scene.gains[:, targets.true_cells]
-    ideal_p = scene.power_fp @ theta
-    ideal_c = scene.corr_fp @ theta
+    ideal_p = scene.power_dict.matrix @ theta
+    ideal_c = scene.corr_dict.matrix @ theta
     errs_p, errs_c = [], []
     for snaps in (10 ** 2, 10 ** 4, 10 ** 6):
         mp = synthesize_snapshot_power(gains, 0.0, snaps,
@@ -208,7 +208,7 @@ def test_criterion_07_quantization_floor():
         targets = sample_targets(scene.grid, 8, False, rng)
         theta = indicator_from_cells(targets.true_cells, scene.grid.n)
         noise_var = snr_to_noise_variance(
-            float(np.mean(scene.power_fp @ theta)), 40.0)
+            float(np.mean(scene.power_dict.matrix @ theta)), 40.0)
         pts = np.column_stack([targets.true_positions, np.full(8, 0.85)])
         gains = gains_to_points(scene.gain_model.anchors, pts, config.pd,
                                 scene.gain_model.m)
@@ -216,7 +216,7 @@ def test_criterion_07_quantization_floor():
         meas = synthesize_snapshot_correlation(
             gains, noise_var, 10 ** 6, DitherPlan.from_seed(int(seeds[0])),
             np.random.default_rng(int(seeds[1])), scene.pairs)
-        loc = locate_cocsm(meas, scene.corr_fp, 8, noise_var, scene.grid,
+        loc = locate_cocsm(meas, scene.corr_dict.matrix, 8, scene.grid,
                            scene.pairs, solver="nnls",
                            gain_model=scene.gain_model)
         err = match_and_error(loc.positions, targets.true_positions)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vlp_sparse import (GainModel, PdOptics, SceneConfig,
-                        build_correlation_fingerprint, build_grid,
+                        build_correlation_fingerprint, build_grid, build_scene,
                         gain_to_range, gains_to_points, lambertian_order,
                         place_leds)
 from vlp_sparse.channel import PairIndexMap
@@ -22,6 +22,12 @@ def closed_form_gain(dz, dist, pd, m):
 def link_gain(led, point, pd, m):
     """Gain of the single link from ``led`` to ``point`` (3,)."""
     return float(gains_to_points(led[None], np.asarray(point)[None, :], pd, m)[0, 0])
+
+
+def cell_points(cfg):
+    """The grid's (N, 2) cell centers as (N, 3) points at the receiver height."""
+    centers = build_grid(cfg).centers
+    return np.column_stack([centers, np.full(len(centers), cfg.receiver_height)])
 
 
 def test_lambertian_order_examples():
@@ -218,18 +224,18 @@ def test_gain_decays_with_horizontal_distance():
 
 def test_gain_matrix_shape_and_entries():
     cfg = SceneConfig()
-    grid = build_grid(cfg)
+    points = cell_points(cfg)
     leds = place_leds(cfg)
-    H = gains_to_points(leds, grid.centers, PD, 1.0)
+    H = gains_to_points(leds, points, PD, 1.0)
     assert H.shape == (16, 400)
-    assert H[3, 17] == link_gain(leds[3], grid.centers[17], PD, 1.0)
+    assert H[3, 17] == link_gain(leds[3], points[17], PD, 1.0)
     assert np.all(H >= 0)
 
 
 def test_single_link_gain_matrix():
     cfg = SceneConfig(room_size=(1.0, 1.0, 3.0), grid_pitch=1.0,
                       led_rows=1, led_cols=1)
-    H = gains_to_points(place_leds(cfg), build_grid(cfg).centers, PD, 1.0)
+    H = gains_to_points(place_leds(cfg), cell_points(cfg), PD, 1.0)
     assert H.shape == (1, 1)
     assert abs(H[0, 0] - 6.886e-6) <= 1e-9  # nadir link again
 
@@ -237,7 +243,7 @@ def test_single_link_gain_matrix():
 def test_gain_matrix_all_zero_outside_fov():
     cfg = SceneConfig()
     pin = PdOptics(fov=1.0)  # nothing within 1 degree of vertical off-nadir grid
-    H = gains_to_points(place_leds(cfg), build_grid(cfg).centers, pin, 1.0)
+    H = gains_to_points(place_leds(cfg), cell_points(cfg), pin, 1.0)
     assert np.count_nonzero(H) < H.size  # clipped links are exact zeros
     assert np.all(H[H == 0] == 0.0)
 
@@ -252,15 +258,26 @@ def test_power_fingerprint_squares_entries():
 def test_default_scene_fingerprint_rows_all_positive():
     # FOV 85 deg from 2.15 m above the plane covers the whole 4x4 m floor
     cfg = SceneConfig()
-    J = np.square(gains_to_points(place_leds(cfg), build_grid(cfg).centers, PD, 1.0))
+    J = np.square(gains_to_points(place_leds(cfg), cell_points(cfg), PD, 1.0))
     assert np.all(J.max(axis=1) > 0)
     assert np.all(J > 0)
 
 
 def test_default_scene_fingerprint_columns_distinct():
     cfg = SceneConfig()
-    J = np.square(gains_to_points(place_leds(cfg), build_grid(cfg).centers, PD, 1.0))
+    J = np.square(gains_to_points(place_leds(cfg), cell_points(cfg), PD, 1.0))
     assert np.unique(J.T, axis=0).shape[0] == J.shape[1]
+
+
+def test_scene_gains_sample_the_law_at_the_receiver_height():
+    # the grid has no height: the scene's gain model supplies it
+    cfg = SceneConfig(grid_pitch=0.25, led_rows=3, receiver_height=1.1)
+    ix, iy = np.meshgrid(np.arange(16), np.arange(16))
+    points = np.column_stack([(ix.ravel() + 0.5) * 0.25, (iy.ravel() + 0.5) * 0.25,
+                              np.full(256, 1.1)])
+    expected = gains_to_points(place_leds(cfg), points, PD,
+                               lambertian_order(cfg.half_power_angle))
+    assert np.array_equal(build_scene(cfg).gains, expected)  # bit for bit
 
 
 def test_correlation_fingerprint_two_anchor_example():
@@ -273,7 +290,7 @@ def test_correlation_fingerprint_two_anchor_example():
 
 def test_correlation_fingerprint_row_count_and_diagonal():
     cfg = SceneConfig()
-    H = gains_to_points(place_leds(cfg), build_grid(cfg).centers, PD, 1.0)
+    H = gains_to_points(place_leds(cfg), cell_points(cfg), PD, 1.0)
     psi, pairs = build_correlation_fingerprint(H)
     assert psi.shape == (136, 400)
     assert np.array_equal(psi[pairs.diagonal_rows], np.square(H))  # bit-exact

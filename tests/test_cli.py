@@ -46,6 +46,13 @@ def test_fingerprint_csv_roundtrips_exactly(tmp_path):
     scene = build_scene(SceneConfig())
     H = np.loadtxt(tmp_path / "H.csv", delimiter=",")
     assert np.array_equal(H, scene.gains)  # 17 significant digits round-trip
+    J = np.loadtxt(tmp_path / "J.csv", delimiter=",")
+    psi = np.loadtxt(tmp_path / "Psi.csv", delimiter=",")
+    assert np.array_equal(J, scene.power_dict.matrix)
+    assert np.array_equal(psi, scene.corr_dict.matrix)
+    assert np.array_equal(J, psi[scene.pairs.diagonal_rows])  # bit for bit
+    shapes = json.loads(read(tmp_path / "meta.json"))["shapes"]
+    assert shapes == {"H": list(H.shape), "J": list(J.shape), "Psi": list(psi.shape)}
 
 
 def test_simulate_scatter_has_one_row_per_target(tmp_path):
@@ -202,6 +209,33 @@ def test_sweep_from_manifest_names_a_missing_sweep_key(tmp_path, capsys, missing
                     "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"'{missing}'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("manifest,key", [
+    (5, "not a sweep manifest"),
+    ({"config": 5}, "config"),
+    ({"sweep": {"k_list": "ab"}}, "k_list"),
+    ({"sweep": {"k_list": [2.5]}}, "k_list"),
+    ({"sweep": {"k_list": [True]}}, "k_list"),
+    ({"sweep": {"snr_list": ["x"]}}, "snr_list"),
+    ({"sweep": {"snr_list": "20"}}, "snr_list"),
+    ({"sweep": {"trials": "x"}}, "trials"),
+    ({"sweep": {"trials": True}}, "trials"),
+])
+def test_sweep_from_manifest_rejects_malformed_input(tmp_path, capsys, manifest, key):
+    if isinstance(manifest, dict):  # replace one part of a valid manifest
+        valid = {"config": {"snapshots": 10},
+                 "sweep": {"k_list": [2], "snr_list": ["inf"], "trials": 1}}
+        valid["sweep"].update(manifest.pop("sweep", {}))
+        manifest = {**valid, **manifest}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--from-manifest", str(path),
+                    "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
     assert not out.exists()
 
 

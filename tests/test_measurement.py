@@ -49,16 +49,16 @@ def test_indicator_rejects_duplicates_and_range():
 
 def test_ideal_power_single_target_is_fingerprint_column(scene):
     ind = indicator_from_cells([7], scene.grid.n)
-    meas = synthesize_ideal_power(scene.power_fp, ind, 0.0)
-    np.testing.assert_array_equal(meas.values, scene.power_fp[:, 7])
+    meas = synthesize_ideal_power(scene.power_dict.matrix, ind, 0.0)
+    np.testing.assert_array_equal(meas.values, scene.power_dict.matrix[:, 7])
     assert meas.model == "power" and meas.snapshots == 0
 
 
 def test_ideal_power_is_linear_in_the_indicator(scene):
     ind = indicator_from_cells([2, 5], scene.grid.n)
-    meas = synthesize_ideal_power(scene.power_fp, ind, 0.0)
-    np.testing.assert_allclose(meas.values,
-                               scene.power_fp[:, 2] + scene.power_fp[:, 5],
+    power_fp = scene.power_dict.matrix
+    meas = synthesize_ideal_power(power_fp, ind, 0.0)
+    np.testing.assert_allclose(meas.values, power_fp[:, 2] + power_fp[:, 5],
                                rtol=1e-15)
 
 
@@ -80,9 +80,9 @@ def test_ideal_correlation_affine_in_disjoint_indicators(scene):
     a = indicator_from_cells([3], scene.grid.n)
     b = indicator_from_cells([250], scene.grid.n)
     s2 = 1e-3
-    m_ab = synthesize_ideal_correlation(scene.corr_fp, a + b, s2, scene.pairs)
-    m_a = synthesize_ideal_correlation(scene.corr_fp, a, s2, scene.pairs)
-    m_b = synthesize_ideal_correlation(scene.corr_fp, b, s2, scene.pairs)
+    m_ab = synthesize_ideal_correlation(scene.corr_dict.matrix, a + b, s2, scene.pairs)
+    m_a = synthesize_ideal_correlation(scene.corr_dict.matrix, a, s2, scene.pairs)
+    m_b = synthesize_ideal_correlation(scene.corr_dict.matrix, b, s2, scene.pairs)
     floor = np.zeros(scene.pairs.n_pairs)
     floor[scene.pairs.diagonal_rows] = s2
     np.testing.assert_allclose(m_ab.values, m_a.values + m_b.values - floor,
@@ -148,7 +148,7 @@ def test_snapshot_correlation_single_target_exact_any_length(scene):
 def test_snapshot_correlation_converges_to_ideal(scene):
     targets = sample_targets(scene.grid, 2, True, np.random.default_rng(13))
     ind = indicator_from_cells(targets.true_cells, scene.grid.n)
-    ideal = scene.corr_fp @ ind
+    ideal = scene.corr_dict.matrix @ ind
     gains = scene.gains[:, targets.true_cells]
     meas = synthesize_snapshot_correlation(gains, 0.0, 10 ** 6,
                                            DitherPlan.from_seed(14),
@@ -534,44 +534,44 @@ def test_remove_noise_floor_inverts_ideal_power():
     # O(1) fingerprint keeps the add-then-subtract exact in float64
     fp = np.array([[3.0, 1.0], [2.0, 5.0], [0.5, 4.0]])
     meas = synthesize_ideal_power(fp, np.array([1.0, 0.0]), 0.1)
-    cleaned = remove_noise_floor(meas, 0.1)
+    cleaned = remove_noise_floor(meas)
     np.testing.assert_array_equal(cleaned.values, fp[:, 0])
 
 
 def test_remove_noise_floor_inverts_at_scene_scale(scene):
     ind = indicator_from_cells([44], scene.grid.n)
     s2 = 1e-12  # comparable to the fingerprint entries
-    meas = synthesize_ideal_power(scene.power_fp, ind, s2)
-    cleaned = remove_noise_floor(meas, s2)
-    np.testing.assert_allclose(cleaned.values, scene.power_fp[:, 44],
+    meas = synthesize_ideal_power(scene.power_dict.matrix, ind, s2)
+    cleaned = remove_noise_floor(meas)
+    np.testing.assert_allclose(cleaned.values, scene.power_dict.matrix[:, 44],
                                rtol=1e-9, atol=0)
 
 
 def test_remove_noise_floor_zero_variance_is_identity(scene):
     ind = indicator_from_cells([44], scene.grid.n)
-    meas = synthesize_ideal_power(scene.power_fp, ind, 0.0)
-    np.testing.assert_array_equal(remove_noise_floor(meas, 0.0).values,
+    meas = synthesize_ideal_power(scene.power_dict.matrix, ind, 0.0)
+    np.testing.assert_array_equal(remove_noise_floor(meas).values,
                                   meas.values)
 
 
 def test_remove_noise_floor_clamps_at_zero():
-    meas = MeasurementVector(np.full(3, 0.1), "power", 0.1, 0)
-    cleaned = remove_noise_floor(meas, 0.2)
+    meas = MeasurementVector(np.full(3, 0.1), "power", 0.2, 0)  # values below the floor
+    cleaned = remove_noise_floor(meas)
     np.testing.assert_array_equal(cleaned.values, np.zeros(3))
 
 
 def test_remove_noise_floor_correlation_touches_diagonal_rows_only(scene):
     ind = indicator_from_cells([10], scene.grid.n)
-    meas = synthesize_ideal_correlation(scene.corr_fp, ind, 0.3, scene.pairs)
-    cleaned = remove_noise_floor(meas, 0.3, scene.pairs)
-    np.testing.assert_allclose(cleaned.values, scene.corr_fp[:, 10],
+    meas = synthesize_ideal_correlation(scene.corr_dict.matrix, ind, 0.3, scene.pairs)
+    cleaned = remove_noise_floor(meas, scene.pairs)
+    np.testing.assert_allclose(cleaned.values, scene.corr_dict.matrix[:, 10],
                                rtol=0, atol=1e-16)
 
 
 def test_remove_noise_floor_model_mismatch():
     meas = MeasurementVector(np.ones(3), "correlation", 0.0, 0)
     with pytest.raises(ValueError, match="pair map"):
-        remove_noise_floor(meas, 0.1)
+        remove_noise_floor(meas)
     bad = MeasurementVector(np.ones(3), "banana", 0.0, 0)
     with pytest.raises(ValueError, match="unknown measurement model"):
-        remove_noise_floor(bad, 0.1)
+        remove_noise_floor(bad)

@@ -280,8 +280,8 @@ def test_prebuilt_dictionary_solves_equal_raw_matrix_solves(scene,
 
 
 def test_dictionary_norms_match_the_column_norms(scene):
-    for fp, data in ((scene.corr_fp, scene.corr_dict),
-                     (scene.power_fp, scene.power_dict)):
+    for fp, data in ((scene.corr_dict.matrix, scene.corr_dict),
+                     (scene.power_dict.matrix, scene.power_dict)):
         norms = np.linalg.norm(fp, axis=0)
         assert np.array_equal(data.norms, norms)
         assert np.array_equal(data.inv_norms, 1.0 / norms)
@@ -337,16 +337,16 @@ def scene():
 def test_locate_csm_recovers_single_target(scene):
     for cell in (0, 57, 399):
         ind = indicator_from_cells([cell], scene.grid.n)
-        meas = synthesize_ideal_power(scene.power_fp, ind, 0.0)
-        loc = locate_csm(meas, scene.power_fp, 1, 0.0, scene.grid)
+        meas = synthesize_ideal_power(scene.power_dict.matrix, ind, 0.0)
+        loc = locate_csm(meas, scene.power_dict.matrix, 1, scene.grid)
         assert loc.support.tolist() == [cell]
-        assert np.array_equal(loc.positions[0], scene.grid.centers[cell, :2])
+        assert np.array_equal(loc.positions[0], scene.grid.centers[cell])
 
 
 def test_locate_cocsm_recovers_single_target(scene):
     ind = indicator_from_cells([123], scene.grid.n)
-    meas = synthesize_ideal_correlation(scene.corr_fp, ind, 0.0, scene.pairs)
-    loc = locate_cocsm(meas, scene.corr_fp, 1, 0.0, scene.grid, scene.pairs)
+    meas = synthesize_ideal_correlation(scene.corr_dict.matrix, ind, 0.0, scene.pairs)
+    loc = locate_cocsm(meas, scene.corr_dict.matrix, 1, scene.grid, scene.pairs)
     assert loc.support.tolist() == [123]
     assert loc.scheme == "cocsm"
 
@@ -354,10 +354,10 @@ def test_locate_cocsm_recovers_single_target(scene):
 def test_locate_cocsm_two_anchor_toy():
     pairs = PairIndexMap.for_anchor_count(2)
     psi = np.array([[9.0], [12.0], [16.0]])
-    centers = np.array([[0.5, 0.5, 0.85]])
+    centers = np.array([[0.5, 0.5]])
     grid = GridModel(nx=1, ny=1, pitch=1.0, centers=centers)
     meas = MeasurementVector(np.array([9.0, 12.0, 16.0]), "correlation", 0.0, 0)
-    loc = locate_cocsm(meas, psi, 1, 0.0, grid, pairs)
+    loc = locate_cocsm(meas, psi, 1, grid, pairs)
     assert loc.support.tolist() == [0]
     assert np.allclose(loc.positions[0], [0.5, 0.5])
 
@@ -366,9 +366,9 @@ def test_locate_model_mismatch_raises(scene):
     power = MeasurementVector(np.ones(16), "power", 0.0, 0)
     corr = MeasurementVector(np.ones(136), "correlation", 0.0, 0)
     with pytest.raises(ValueError, match="power"):
-        locate_csm(corr, scene.power_fp, 1, 0.0, scene.grid)
+        locate_csm(corr, scene.power_dict.matrix, 1, scene.grid)
     with pytest.raises(ValueError, match="correlation"):
-        locate_cocsm(power, scene.corr_fp, 1, 0.0, scene.grid, scene.pairs)
+        locate_cocsm(power, scene.corr_dict.matrix, 1, scene.grid, scene.pairs)
 
 
 def test_paired_ideal_success_rates_cocsm_at_least_csm(scene):
@@ -381,11 +381,11 @@ def test_paired_ideal_success_rates_cocsm_at_least_csm(scene):
         targets = sample_targets(scene.grid, 8, True, rng)
         theta = indicator_from_cells(targets.true_cells, scene.grid.n)
         truth = set(targets.true_cells.tolist())
-        meas_p = synthesize_ideal_power(scene.power_fp, theta, 0.0)
-        loc_p = locate_csm(meas_p, scene.power_fp, 8, 0.0, scene.grid)
-        meas_c = synthesize_ideal_correlation(scene.corr_fp, theta, 0.0,
+        meas_p = synthesize_ideal_power(scene.power_dict.matrix, theta, 0.0)
+        loc_p = locate_csm(meas_p, scene.power_dict.matrix, 8, scene.grid)
+        meas_c = synthesize_ideal_correlation(scene.corr_dict.matrix, theta, 0.0,
                                               scene.pairs)
-        loc_c = locate_cocsm(meas_c, scene.corr_fp, 8, 0.0, scene.grid,
+        loc_c = locate_cocsm(meas_c, scene.corr_dict.matrix, 8, scene.grid,
                              scene.pairs)
         succ_p += set(loc_p.support.tolist()) == truth
         succ_c += set(loc_c.support.tolist()) == truth
@@ -418,9 +418,9 @@ def test_nnls_top_k_rejects_zero_measurement():
 
 def test_locate_nnls_needs_gain_model(scene):
     ind = indicator_from_cells([123], scene.grid.n)
-    meas = synthesize_ideal_correlation(scene.corr_fp, ind, 0.0, scene.pairs)
+    meas = synthesize_ideal_correlation(scene.corr_dict.matrix, ind, 0.0, scene.pairs)
     with pytest.raises(ValueError, match="gain model"):
-        locate_cocsm(meas, scene.corr_fp, 1, 0.0, scene.grid, scene.pairs,
+        locate_cocsm(meas, scene.corr_dict.matrix, 1, scene.grid, scene.pairs,
                      solver="nnls")
 
 
@@ -432,9 +432,9 @@ def test_locate_cocsm_nnls_recovers_noiseless_on_grid_supports(scene, k):
         rng = np.random.default_rng(np.random.SeedSequence(56, spawn_key=(k, t)))
         targets = sample_targets(scene.grid, k, True, rng)
         theta = indicator_from_cells(targets.true_cells, scene.grid.n)
-        meas = synthesize_ideal_correlation(scene.corr_fp, theta, 0.0,
+        meas = synthesize_ideal_correlation(scene.corr_dict.matrix, theta, 0.0,
                                             scene.pairs)
-        loc = locate_cocsm(meas, scene.corr_fp, k, 0.0, scene.grid,
+        loc = locate_cocsm(meas, scene.corr_dict.matrix, k, scene.grid,
                            scene.pairs, solver="nnls",
                            gain_model=scene.gain_model)
         assert sorted(loc.support.tolist()) == targets.true_cells.tolist()
@@ -451,7 +451,7 @@ def test_locate_nnls_returns_k_cell_centers_off_grid(scene):
                                            DitherPlan.from_seed(58),
                                            np.random.default_rng(59),
                                            scene.pairs)
-    loc = locate_cocsm(meas, scene.corr_fp, 6, 1e-12, scene.grid, scene.pairs,
+    loc = locate_cocsm(meas, scene.corr_dict.matrix, 6, scene.grid, scene.pairs,
                        solver="nnls", gain_model=scene.gain_model)
     assert loc.positions.shape == (6, 2)
     assert loc.support.shape == (6,)
@@ -491,8 +491,8 @@ def test_locate_nnls_support_is_distinct_when_refined_positions_collide(
 
     monkeypatch.setattr(recovery, "refine_off_grid", refine)
     ind = indicator_from_cells([0, 50, 300], scene.grid.n)
-    meas = synthesize_ideal_correlation(scene.corr_fp, ind, 0.0, scene.pairs)
-    loc = locate_cocsm(meas, scene.corr_fp, 3, 0.0, scene.grid, scene.pairs,
+    meas = synthesize_ideal_correlation(scene.corr_dict.matrix, ind, 0.0, scene.pairs)
+    loc = locate_cocsm(meas, scene.corr_dict.matrix, 3, scene.grid, scene.pairs,
                        solver="nnls", gain_model=scene.gain_model)
     assert len(set(loc.support.tolist())) == 3
     assert scene.grid.cell_of(collided[[0]])[0] in loc.support
@@ -502,19 +502,19 @@ def test_locate_nnls_support_is_distinct_when_refined_positions_collide(
 def test_locate_nnls_single_target_matches_omp(scene):
     for cell in (0, 57, 123, 210, 399):
         ind = indicator_from_cells([cell], scene.grid.n)
-        meas_p = synthesize_ideal_power(scene.power_fp, ind, 0.0)
-        meas_c = synthesize_ideal_correlation(scene.corr_fp, ind, 0.0,
+        meas_p = synthesize_ideal_power(scene.power_dict.matrix, ind, 0.0)
+        meas_c = synthesize_ideal_correlation(scene.corr_dict.matrix, ind, 0.0,
                                               scene.pairs)
         for solver in ("omp", "nnls"):
-            loc_p = locate_csm(meas_p, scene.power_fp, 1, 0.0, scene.grid,
+            loc_p = locate_csm(meas_p, scene.power_dict.matrix, 1, scene.grid,
                                solver=solver, gain_model=scene.gain_model)
-            loc_c = locate_cocsm(meas_c, scene.corr_fp, 1, 0.0, scene.grid,
+            loc_c = locate_cocsm(meas_c, scene.corr_dict.matrix, 1, scene.grid,
                                  scene.pairs, solver=solver,
                                  gain_model=scene.gain_model)
             for loc in (loc_p, loc_c):
                 assert loc.support.tolist() == [cell]
                 assert np.array_equal(loc.positions[0],
-                                      scene.grid.centers[cell, :2])
+                                      scene.grid.centers[cell])
 
 
 def test_advisory_flags_undersampled_power_scheme():

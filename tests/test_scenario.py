@@ -18,14 +18,15 @@ def test_default_grid_has_400_cells():
 
 def test_first_center_is_cell_midpoint():
     grid = build_grid(SceneConfig())
-    assert np.allclose(grid.centers[0], [0.1, 0.1, 0.85])
+    assert grid.centers.shape == (400, 2)  # the floor plan: no height
+    assert np.allclose(grid.centers[0], [0.1, 0.1])
 
 
 def test_single_cell_grid():
     cfg = SceneConfig(room_size=(1.0, 1.0, 3.0), grid_pitch=1.0)
     grid = build_grid(cfg)
     assert grid.n == 1
-    assert np.allclose(grid.centers[0], [0.5, 0.5, 0.85])
+    assert np.allclose(grid.centers[0], [0.5, 0.5])
 
 
 def test_pitch_must_tile_floor():
@@ -42,7 +43,7 @@ def test_grid_and_led_builders_are_pure():
 
 def test_cell_of_roundtrips_centers():
     grid = build_grid(SceneConfig())
-    cells = grid.cell_of(grid.centers[:, :2])
+    cells = grid.cell_of(grid.centers)
     assert np.array_equal(cells, np.arange(grid.n))
 
 
