@@ -16,7 +16,7 @@ from .evaluation import (CampaignReport, Scene, TrialResult,
                          aligned_estimates, build_scene,
                          cell_quantization_floor, match_and_error,
                          rss_baseline_locate, run_campaign, run_trial)
-from .measurement import (CORRELATION, POWER, DitherPlan, MeasurementVector,
+from .measurement import (CORRELATION, POWER, MeasurementVector,
                           indicator_from_cells, remove_noise_floor,
                           synthesize_ideal_correlation, synthesize_ideal_power,
                           synthesize_snapshot_correlation,
@@ -26,7 +26,7 @@ from .recovery import (LocalizationResult, RecoveryAdvisory, SparseSolution,
                        nnls_top_k, omp, recoverability_advisory,
                        refine_off_grid)
 from .scenario import (SCHEMES, SOLVERS, ConfigError, GridModel, PdOptics,
-                       SceneConfig, TargetSet, apply_overrides, build_grid,
+                       SceneConfig, apply_overrides, build_grid,
                        config_from_dict, config_to_dict, load_config,
                        place_leds, realized_snr_db, sample_targets,
                        snr_to_noise_variance)

@@ -27,14 +27,13 @@ import numpy as np
 
 from .channel import (GainModel, PairIndexMap, build_correlation_fingerprint,
                       gain_to_range, gains_to_points, lambertian_order)
-from .measurement import (POWER, DitherPlan, MeasurementVector,
+from .measurement import (POWER, MeasurementVector,
                           indicator_from_cells, remove_noise_floor,
                           synthesize_single_target_powers,
                           synthesize_snapshot_correlation)
 # unused here, but perfbench/spans.py times the power synthesis under this name
 from .measurement import synthesize_snapshot_power  # noqa: F401
-from .recovery import (Dictionary, LocalizationResult, load_solver,
-                       locate_cocsm, locate_csm)
+from .recovery import Dictionary, LocalizationResult, locate_cocsm, locate_csm
 from .scenario import (SCHEMES, ConfigError, GridModel, SceneConfig, _is_integer,
                        build_grid, check_targets_k, place_leds, realized_snr_db,
                        sample_targets, snr_to_noise_variance)
@@ -282,16 +281,16 @@ def run_trial(config: SceneConfig, rng: np.random.Generator,
     schemes = tuple(schemes) if schemes is not None else SCHEMES
     k = config.targets_k
     seeds = [int(s) for s in rng.integers(0, 2 ** 63, size=4)]
-    targets = sample_targets(scene.grid, k, config.on_grid,
-                             np.random.default_rng(seeds[0]))
-    indicator = indicator_from_cells(targets.true_cells, scene.grid.n)
+    true_positions, true_cells = sample_targets(scene.grid, k, config.on_grid,
+                                                np.random.default_rng(seeds[0]))
+    indicator = indicator_from_cells(true_cells, scene.grid.n)
     signal = scene.power_dict.matrix @ indicator
     mean_signal = float(signal.sum() / signal.size)
     noise_variance = (config.noise_variance if snr_db is None
                       else snr_to_noise_variance(mean_signal, snr_db))
     realized_snr = realized_snr_db(mean_signal, noise_variance)
     model = scene.gain_model
-    points = np.column_stack([targets.true_positions, np.full(k, model.height)])
+    points = np.column_stack([true_positions, np.full(k, model.height)])
     target_gains = gains_to_points(model.anchors, points, model.pd, model.m)
 
     results: dict[str, TrialResult] = {}
@@ -300,8 +299,7 @@ def run_trial(config: SceneConfig, rng: np.random.Generator,
         try:
             if scheme in ("csm", "cocsm") and corr is None:
                 corr = synthesize_snapshot_correlation(
-                    target_gains, noise_variance, config.snapshots,
-                    DitherPlan.from_seed(seeds[1]),
+                    target_gains, noise_variance, config.snapshots, seeds[1],
                     np.random.default_rng(seeds[2]), scene.pairs)
             if scheme == "csm":  # the anchor-with-itself rows are powers
                 meas = MeasurementVector(corr.values[scene.pairs.diagonal_rows],
@@ -325,18 +323,17 @@ def run_trial(config: SceneConfig, rng: np.random.Generator,
             results[scheme] = TrialResult(
                 scheme=scheme, k=k, snr_db=realized_snr,
                 snapshots=config.snapshots,
-                error_m=match_and_error(loc.positions, targets.true_positions),
-                exact_support=set(loc.support.tolist())
-                == set(targets.true_cells.tolist()),
+                error_m=match_and_error(loc.positions, true_positions),
+                exact_support=set(loc.support.tolist()) == set(true_cells.tolist()),
                 support=loc.support, est_positions=loc.positions,
-                true_positions=targets.true_positions, measurement=meas)
+                true_positions=true_positions, measurement=meas)
         except (ValueError, np.linalg.LinAlgError) as exc:
             results[scheme] = TrialResult(
                 scheme=scheme, k=k, snr_db=realized_snr,
                 snapshots=config.snapshots, error_m=math.nan,
                 exact_support=False, failed=True,
                 failure=f"{type(exc).__name__}: {exc}",
-                true_positions=targets.true_positions)
+                true_positions=true_positions)
     return results
 
 
@@ -403,7 +400,8 @@ def run_campaign(config: SceneConfig, k_list, snr_list, trials: int,
     ``jobs`` that is no integer >= 1, a ``k_list`` that is no nonempty list
     of integers, an ``snr_list`` that is no nonempty list of numbers or of
     strings that ``float`` reads (a manifest writes inf as "inf"), a NaN or
-    -inf SNR (``inf`` is noiseless), or a K outside 1..N/4.
+    -inf SNR (``inf`` is noiseless), a value repeated in either list after
+    that conversion (20 and "20" repeat), or a K outside 1..N/4.
     """
     snrs = ([_as_number(s) for s in snr_list]
             if isinstance(snr_list, (list, tuple)) else [None])
@@ -425,11 +423,17 @@ def run_campaign(config: SceneConfig, k_list, snr_list, trials: int,
              "must be nonempty, each a number or inf")):
         if not valid:
             raise ConfigError(f"{key}: {rule}, got {value}")
+    for key, values in (("k_list", k_list), ("snr_list", snr_list)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:  # two cells would share one key in trial_records
+            raise ConfigError(f"{key}: must hold no value twice, got "
+                              f"{repeated[0]} more than once")
     cells = [(k, snr) for k in k_list for snr in snr_list]
     scene = build_scene(config)
     for k in k_list:
         check_targets_k(scene.grid, k)
-    load_solver(config.solver)  # once here, not in each forked child
+    if config.solver == "nnls":  # once here, not in each forked child
+        import scipy.optimize  # noqa: F401
     cell_configs = {k: dataclasses.replace(config, targets_k=k) for k in k_list}
     units = [(cell_configs[k], idx, snr, t)
              for idx, (k, snr) in enumerate(cells) for t in range(trials)]

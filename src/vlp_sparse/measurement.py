@@ -19,6 +19,11 @@ either from the counts of the 2^(K-1) sign patterns, one multinomial draw
 costing O(2^(K-1) K^2) whatever L, or from packed sign words costing
 O(K^2 L / 64), whichever is cheaper at that (K, L).  The samplers, and the
 two Gram draws, have the same distribution, not the same draws.
+
+The ``dither`` argument of the snapshot samplers is the int seed of the
++/-1 sequences.  Each draw restarts its stream as ``PCG64(dither)``, so a
+power and a correlation draw from one seed see the same signs; a live
+``Generator`` raises ``TypeError`` rather than being consumed.
 """
 
 from __future__ import annotations
@@ -61,26 +66,6 @@ class MeasurementVector:
     snapshots: int
 
 
-@dataclass(frozen=True)
-class DitherPlan:
-    """Seed for the per-target, per-snapshot +/-1 dither sequences.
-
-    Every call to :meth:`generator` restarts the stream, so one plan yields
-    identical sign sequences to every synthesis routine that consumes it.
-    """
-
-    seed: np.random.SeedSequence
-
-    @classmethod
-    def from_seed(cls, seed) -> "DitherPlan":
-        if not isinstance(seed, np.random.SeedSequence):
-            seed = np.random.SeedSequence(seed)
-        return cls(seed=seed)
-
-    def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(self.seed))
-
-
 def indicator_from_cells(cells, n: int) -> np.ndarray:
     """Binary length-``n`` vector with ones at the given cell indices."""
     cells = np.asarray(cells, dtype=int)
@@ -113,16 +98,17 @@ def synthesize_ideal_correlation(corr_fp: np.ndarray, indicator: np.ndarray,
 
 
 def _explicit_second_moment(target_gains: np.ndarray, noise_variance: float,
-                            snapshots: int, dither: DitherPlan,
+                            snapshots: int, dither: int,
                             rng: np.random.Generator) -> np.ndarray:
     """Reference sampler: ``sum_l y_l y_l^T`` accumulated over drawn snapshots.
 
-    Sample ``y_i(l) = sum_k s_k(l) g_ik + w_i(l)`` with dither signs from the
-    plan and AWGN from ``rng``, all L snapshots in one block (it serves only
-    L up to ``_EXPLICIT_MAX_SNAPSHOTS``).  Costs O(L (K + M) M).
+    Sample ``y_i(l) = sum_k s_k(l) g_ik + w_i(l)`` with dither signs seeded
+    by ``dither`` and AWGN from ``rng``, all L snapshots in one block (it
+    serves only L up to ``_EXPLICIT_MAX_SNAPSHOTS``).  Costs O(L (K + M) M).
     """
     n_anchors, k = target_gains.shape
-    signs = dither.generator().integers(0, 2, size=(snapshots, k)) * 2.0 - 1.0
+    signs = np.random.Generator(np.random.PCG64(dither)).integers(
+        0, 2, size=(snapshots, k)) * 2.0 - 1.0
     samples = signs @ target_gains.T
     if noise_variance > 0.0:
         samples += rng.normal(0.0, float(np.sqrt(noise_variance)),
@@ -130,7 +116,7 @@ def _explicit_second_moment(target_gains: np.ndarray, noise_variance: float,
     return samples.T @ samples
 
 
-def _packed_gram(dither: DitherPlan, k: int, snapshots: int) -> np.ndarray:
+def _packed_gram(dither: int, k: int, snapshots: int) -> np.ndarray:
     """Exact Gram matrix ``S^T S`` of K +/-1 sequences of length L.
 
     Each sequence is drawn as packed 64-bit words (a set bit is +1), the
@@ -142,8 +128,8 @@ def _packed_gram(dither: DitherPlan, k: int, snapshots: int) -> np.ndarray:
     blocks of words, plus one byte of count per word.
     """
     words = -(-snapshots // 64)
-    bits = dither.generator().integers(0, 1 << 64, size=(k, words),
-                                       dtype=np.uint64)
+    bits = np.random.Generator(np.random.PCG64(dither)).integers(
+        0, 1 << 64, size=(k, words), dtype=np.uint64)
     bits[:, -1] &= np.uint64((1 << (snapshots - 64 * (words - 1))) - 1)
     differ = np.zeros((k, k))
     for start in range(0, words, _GRAM_BLOCK_WORDS):
@@ -163,7 +149,7 @@ def _sign_patterns(k: int) -> np.ndarray:
     return signs
 
 
-def _pattern_gram(dither: DitherPlan, k: int, snapshots: int) -> np.ndarray:
+def _pattern_gram(dither: int, k: int, snapshots: int) -> np.ndarray:
     """The same Gram matrix, drawn from how many of the L snapshots carry
     each sign pattern.
 
@@ -175,13 +161,16 @@ def _pattern_gram(dither: DitherPlan, k: int, snapshots: int) -> np.ndarray:
     """
     signs = _sign_patterns(k)
     patterns = signs.shape[1]
-    counts = dither.generator().multinomial(snapshots,
-                                            np.full(patterns, 1.0 / patterns))
+    counts = np.random.Generator(np.random.PCG64(dither)).multinomial(
+        snapshots, np.full(patterns, 1.0 / patterns))
     return (signs * counts) @ signs.T
 
 
-def _dither_gram(dither: DitherPlan, k: int, snapshots: int) -> np.ndarray:
-    """Exact dither Gram matrix ``S^T S``: one law, two draws, by cost."""
+def _dither_gram(dither: int, k: int, snapshots: int) -> np.ndarray:
+    """Exact dither Gram matrix ``S^T S``: one law, two draws, by cost.
+
+    Either draw restarts the sign stream seeded by ``dither``.
+    """
     # pattern counts while there are at most two patterns per packed word;
     # median over fresh seeds, 2-vCPU Xeon, packed against pattern: K = 8,
     # L = 10^6 1.0-1.6 against 0.03-0.05 ms; K = 9, L = 10^4 0.11-0.13
@@ -211,7 +200,7 @@ def _wishart_identity(dof: int, dim: int,
 
 
 def _statistics_second_moment(target_gains: np.ndarray, noise_variance: float,
-                              snapshots: int, dither: DitherPlan,
+                              snapshots: int, dither: int,
                               rng: np.random.Generator) -> np.ndarray:
     """``sum_l y_l y_l^T`` drawn from its sufficient statistics, not snapshots.
 
@@ -235,9 +224,13 @@ def _statistics_second_moment(target_gains: np.ndarray, noise_variance: float,
 
 
 def _second_moment(target_gains: np.ndarray, noise_variance: float,
-                   snapshots: int, dither: DitherPlan,
+                   snapshots: int, dither: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """(M, M) sum of ``y_l y_l^T`` over L snapshots; see the two samplers."""
+    """(M, M) sum of ``y_l y_l^T`` over L snapshots; see the two samplers.
+
+    ``dither`` seeds the +/-1 sequences, restarted by every draw; ``rng``
+    draws the noise.
+    """
     if snapshots < 1:
         raise ValueError("snapshot synthesis needs snapshots >= 1")
     sampler = (_explicit_second_moment if snapshots <= _EXPLICIT_MAX_SNAPSHOTS
@@ -246,13 +239,15 @@ def _second_moment(target_gains: np.ndarray, noise_variance: float,
 
 
 def synthesize_snapshot_power(target_gains: np.ndarray, noise_variance: float,
-                              snapshots: int, dither: DitherPlan,
+                              snapshots: int, dither: int,
                               rng: np.random.Generator) -> MeasurementVector:
     """Empirical per-anchor power: mean of squared aggregated samples.
 
     ``target_gains`` is (M, K), one column of gains per target at its true
-    position.  Converges to the ideal power model as snapshots grow.  Equals,
-    bit for bit, the diagonal of the correlation matrix from the same seeds.
+    position; ``dither`` is the int seed of their sign sequences, restarted
+    by each draw.  Converges to the ideal power model as snapshots grow.
+    Equals, bit for bit, the diagonal of the correlation matrix from the
+    same seeds.
     """
     acc = _second_moment(target_gains, noise_variance, snapshots, dither, rng)
     return MeasurementVector(np.diagonal(acc) / snapshots, POWER,
@@ -260,13 +255,14 @@ def synthesize_snapshot_power(target_gains: np.ndarray, noise_variance: float,
 
 
 def synthesize_snapshot_correlation(target_gains: np.ndarray, noise_variance: float,
-                                    snapshots: int, dither: DitherPlan,
+                                    snapshots: int, dither: int,
                                     rng: np.random.Generator,
                                     pairs: PairIndexMap) -> MeasurementVector:
     """Empirical anchor-pair correlations, selected to the i <= j rows.
 
     Reads the upper triangle of the symmetric sample correlation matrix
-    through the pair map.
+    through the pair map.  ``dither`` is the int seed of the sign
+    sequences, restarted by each draw.
     """
     acc = _second_moment(target_gains, noise_variance, snapshots, dither, rng)
     values = acc[pairs.first, pairs.second] / snapshots

@@ -13,8 +13,8 @@ uses the indicator's sign: nonnegative least squares finds the support
 where greedy pursuit, misled by the large component all (positive) columns
 share, picks cells between targets.  It then refines the K positions off
 the grid against the continuous gain model and reports the cells that
-contain them.  It runs on ``scipy.optimize``, which ``load_solver`` imports
-on first use, so that a process running ``omp`` never loads scipy.
+contain them.  Both of its steps import ``scipy.optimize`` where they call
+it, so that a process running ``omp`` never loads scipy.
 """
 
 from __future__ import annotations
@@ -30,17 +30,6 @@ from .measurement import CORRELATION, POWER, MeasurementVector, remove_noise_flo
 from .scenario import SOLVERS, GridModel, realized_snr_db
 
 _EPS = np.finfo(float).eps
-
-
-def load_solver(solver: str):
-    """Import what ``solver`` needs beyond numpy: ``scipy.optimize`` for
-    ``nnls``, which is returned, and nothing for ``omp``.  Call it before
-    forking workers, so that they share the modules instead of each
-    importing them."""
-    if solver == "nnls":
-        import scipy.optimize
-        return scipy.optimize
-    return None
 
 
 @dataclass(frozen=True)
@@ -187,8 +176,9 @@ def nnls_top_k(A: np.ndarray | Dictionary, b: np.ndarray, k: int) -> SparseSolut
         raise ValueError("dictionary has no nonzero column")
     if np.linalg.norm(b) == 0:
         raise ValueError("zero measurement: support of size k is undefined")
+    import scipy.optimize
     try:
-        x, _ = load_solver("nnls").nnls(D.matrix / D.norms, b)
+        x, _ = scipy.optimize.nnls(D.matrix / D.norms, b)
     except RuntimeError as exc:  # iteration limit
         raise ValueError(f"nnls: {exc}") from None
     theta = x / D.norms
@@ -212,6 +202,7 @@ def refine_off_grid(xy: np.ndarray, b: np.ndarray, first: np.ndarray,
     residuals are scaled by ``||b||``.  Returns the refined (K, 2)
     positions and scipy's result.
     """
+    import scipy.optimize
     xy = np.asarray(xy, dtype=float)
     k = xy.shape[0]
     scale = float(np.linalg.norm(b))
@@ -227,8 +218,8 @@ def refine_off_grid(xy: np.ndarray, b: np.ndarray, first: np.ndarray,
         return jac.reshape(len(first), 2 * k) / scale
 
     upper = np.tile([grid.nx * grid.pitch, grid.ny * grid.pitch], k)
-    fit = load_solver("nnls").least_squares(residual, xy.ravel(), jac=jacobian,
-                                            bounds=(0.0, upper))
+    fit = scipy.optimize.least_squares(residual, xy.ravel(), jac=jacobian,
+                                       bounds=(0.0, upper))
     return fit.x.reshape(k, 2), fit
 
 

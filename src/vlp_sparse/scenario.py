@@ -175,21 +175,6 @@ class GridModel:
         return self.centers[np.asarray(cells, dtype=int)]
 
 
-@dataclass(frozen=True)
-class TargetSet:
-    """Ground truth for one trial: continuous positions and their grid cells."""
-
-    k: int
-    true_positions: np.ndarray  # (K, 2)
-    true_cells: np.ndarray  # (K,) int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("TargetSet needs at least one target")
-        if len(set(self.true_cells.tolist())) != self.k:
-            raise ValueError("target cells must be pairwise distinct")
-
-
 def build_grid(config: SceneConfig) -> GridModel:
     """Tile the floor into square cells and return their centers.
 
@@ -231,9 +216,10 @@ def check_targets_k(grid: GridModel, k: int) -> None:
 
 
 def sample_targets(grid: GridModel, k: int, on_grid: bool,
-                   rng: np.random.Generator) -> TargetSet:
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``k`` targets in distinct cells, uniformly without replacement.
 
+    Returns read-only (K, 2) true positions and their (K,) cells, sorted.
     With ``on_grid`` the true position is the cell center, otherwise uniform
     within the cell.  Deterministic for a given generator state.
     """
@@ -244,7 +230,7 @@ def sample_targets(grid: GridModel, k: int, on_grid: bool,
         positions += rng.uniform(-grid.pitch / 2, grid.pitch / 2, size=(k, 2))
     positions.setflags(write=False)
     cells.setflags(write=False)
-    return TargetSet(k=k, true_positions=positions, true_cells=cells)
+    return positions, cells
 
 
 # --- configuration I/O ----------------------------------------------------

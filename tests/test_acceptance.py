@@ -15,7 +15,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from vlp_sparse import (DitherPlan, PdOptics, SceneConfig, brute_force_support,
+from vlp_sparse import (PdOptics, SceneConfig, brute_force_support,
                         build_scene, cell_quantization_floor, gains_to_points,
                         indicator_from_cells, locate_cocsm, locate_csm,
                         match_and_error, omp, recoverability_advisory,
@@ -125,18 +125,16 @@ def test_criterion_05_snapshot_convergence():
     """Empirical estimators approach the ideal models as snapshots grow."""
     started = time.monotonic()
     scene = build_scene(SceneConfig())
-    targets = sample_targets(scene.grid, 4, True, np.random.default_rng(105))
-    theta = indicator_from_cells(targets.true_cells, scene.grid.n)
-    gains = scene.gains[:, targets.true_cells]
+    _, true_cells = sample_targets(scene.grid, 4, True, np.random.default_rng(105))
+    theta = indicator_from_cells(true_cells, scene.grid.n)
+    gains = scene.gains[:, true_cells]
     ideal_p = scene.power_dict.matrix @ theta
     ideal_c = scene.corr_dict.matrix @ theta
     errs_p, errs_c = [], []
     for snaps in (10 ** 2, 10 ** 4, 10 ** 6):
-        mp = synthesize_snapshot_power(gains, 0.0, snaps,
-                                       DitherPlan.from_seed(1050),
+        mp = synthesize_snapshot_power(gains, 0.0, snaps, 1050,
                                        np.random.default_rng(1051))
-        mc = synthesize_snapshot_correlation(gains, 0.0, snaps,
-                                             DitherPlan.from_seed(1050),
+        mc = synthesize_snapshot_correlation(gains, 0.0, snaps, 1050,
                                              np.random.default_rng(1051),
                                              scene.pairs)
         errs_p.append(float(np.max(np.abs(mp.values - ideal_p) / ideal_p)))
@@ -205,23 +203,23 @@ def test_criterion_07_quantization_floor():
     errors, exact_offsets = [], []
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence(107, spawn_key=(t,)))
-        targets = sample_targets(scene.grid, 8, False, rng)
-        theta = indicator_from_cells(targets.true_cells, scene.grid.n)
+        true_positions, true_cells = sample_targets(scene.grid, 8, False, rng)
+        theta = indicator_from_cells(true_cells, scene.grid.n)
         noise_var = snr_to_noise_variance(
             float(np.mean(scene.power_dict.matrix @ theta)), 40.0)
-        pts = np.column_stack([targets.true_positions, np.full(8, 0.85)])
+        pts = np.column_stack([true_positions, np.full(8, 0.85)])
         gains = gains_to_points(scene.gain_model.anchors, pts, config.pd,
                                 scene.gain_model.m)
         seeds = rng.integers(0, 2 ** 63, size=2)
         meas = synthesize_snapshot_correlation(
-            gains, noise_var, 10 ** 6, DitherPlan.from_seed(int(seeds[0])),
+            gains, noise_var, 10 ** 6, int(seeds[0]),
             np.random.default_rng(int(seeds[1])), scene.pairs)
         loc = locate_cocsm(meas, scene.corr_dict.matrix, 8, scene.grid,
                            scene.pairs, solver="nnls",
                            gain_model=scene.gain_model)
-        err = match_and_error(loc.positions, targets.true_positions)
+        err = match_and_error(loc.positions, true_positions)
         errors.append(err)
-        if set(loc.support.tolist()) == set(targets.true_cells.tolist()):
+        if set(loc.support.tolist()) == set(true_cells.tolist()):
             exact_offsets.append(err)
     mean_err = float(np.mean(errors))
     assert mean_err < 0.2, \

@@ -222,6 +222,8 @@ def test_sweep_from_manifest_names_a_missing_sweep_key(tmp_path, capsys, missing
     ({"sweep": {"snr_list": "20"}}, "snr_list"),
     ({"sweep": {"trials": "x"}}, "trials"),
     ({"sweep": {"trials": True}}, "trials"),
+    ({"sweep": {"k_list": [2, 2]}}, "k_list"),
+    ({"sweep": {"snr_list": ["inf", "inf"]}}, "snr_list"),
 ])
 def test_sweep_from_manifest_rejects_malformed_input(tmp_path, capsys, manifest, key):
     if isinstance(manifest, dict):  # replace one part of a valid manifest
@@ -381,6 +383,8 @@ def test_config_file_with_overrides(tmp_path):
     (["--snr-list", ","], "snr_list", "[]"),
     (["--snr-list=-inf"], "snr_list", "-inf"),
     (["--snr-list", "20,nan"], "snr_list", "nan"),
+    (["--K-list", "2,2"], "k_list", "2 more than once"),
+    (["--snr-list", "20,20.0"], "snr_list", "20.0 more than once"),
 ])
 def test_sweep_rejects_bad_campaign_inputs(tmp_path, capsys, args, key, value):
     assert exit_code(["sweep", "--K-list", "2", "--snr-list", "20",

@@ -442,6 +442,43 @@ def test_trial_is_deterministic_per_seed():
         assert np.array_equal(a[scheme].est_positions, b[scheme].est_positions)
 
 
+# (support, error_m) per scheme at 20 dB, so that a change that moves any draw
+# fails here: the explicit sampler (L = 100), pattern-count (K = 4) and
+# packed-word (K = 10) Gram draws at L = 10^4, and K = 8 at L = 10^6
+PINNED_TRIALS = [
+    (100, 4, 0, 0, {
+        "csm": ([185, 389, 5, 249], 0.9040354345626807),
+        "cocsm": ([185, 389, 5, 380], 0.8903601943225379),
+        "rss_baseline": ([126, 145, 180, 369], 0.10978617813369798)}),
+    (10 ** 4, 4, 1, 2, {
+        "csm": ([333, 51, 265, 399], 0.4478405755910081),
+        "cocsm": ([312, 11, 262, 399], 0.5846994139707606),
+        "rss_baseline": ([12, 268, 353, 377], 0.013095468134936084)}),
+    (10 ** 4, 10, 2, 5, {
+        "csm": ([271, 70, 179, 389, 102, 399, 149, 2, 383, 19],
+                0.8516022658927653),
+        "cocsm": ([251, 10, 395, 139, 385, 102, 340, 129, 19, 390],
+                  0.8655809530828191),
+        "rss_baseline": ([5, 117, 147, 152, 217, 270, 349, 350, 358, 390],
+                         0.019195148608281157)}),
+    (10 ** 6, 8, 3, 1, {
+        "csm": ([290, 339, 103, 119, 303, 254, 19, 151], 1.0883306798330228),
+        "cocsm": ([270, 399, 120, 119, 384, 107, 17, 245], 1.0767728934305074),
+        "rss_baseline": ([60, 158, 207, 288, 315, 327, 396, 399],
+                         0.0031422066830039327)}),
+]
+
+
+@pytest.mark.parametrize("snapshots,k,cell,trial,expected", PINNED_TRIALS)
+def test_trial_draws_are_pinned(snapshots, k, cell, trial, expected):
+    cfg = SceneConfig(targets_k=k, snapshots=snapshots, seed=25)
+    results = run_trial(cfg, _trial_rng(cfg.seed, cell, trial), snr_db=20.0)
+    assert list(results) == list(expected)
+    for scheme, (support, error_m) in expected.items():
+        assert results[scheme].support.tolist() == support, scheme
+        assert results[scheme].error_m == pytest.approx(error_m, rel=1e-9), scheme
+
+
 def test_trial_keeps_the_failure_reason(monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("singular design")
@@ -694,6 +731,9 @@ def test_campaign_row_order_and_counts():
     ([2], [10.0], 1.5, 1, "trials"),
     ([2], [10.0], 1, True, "jobs"),
     ([2], [10.0], 1, "2", "jobs"),
+    ([2, 2], [20.0], 1, 1, "k_list"),
+    ([2], [20.0, "20"], 1, 1, "snr_list"),
+    ([2], ["inf", math.inf], 1, 1, "snr_list"),
 ])
 def test_campaign_rejects_bad_inputs_before_building_the_scene(
         monkeypatch, k_list, snr_list, trials, jobs, key):

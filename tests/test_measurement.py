@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vlp_sparse import (DitherPlan, MeasurementVector, SceneConfig,
+from vlp_sparse import (MeasurementVector, SceneConfig,
                         build_scene, gains_to_points, indicator_from_cells,
                         remove_noise_floor, sample_targets, synthesize_ideal_correlation,
                         synthesize_ideal_power,
@@ -35,9 +35,9 @@ def test_indicator_single_cell_is_unit_vector():
 
 
 def test_indicator_roundtrip_with_targets(scene):
-    targets = sample_targets(scene.grid, 6, False, np.random.default_rng(0))
-    ind = indicator_from_cells(targets.true_cells, scene.grid.n)
-    assert set(np.nonzero(ind)[0].tolist()) == set(targets.true_cells.tolist())
+    _, true_cells = sample_targets(scene.grid, 6, False, np.random.default_rng(0))
+    ind = indicator_from_cells(true_cells, scene.grid.n)
+    assert set(np.nonzero(ind)[0].tolist()) == set(true_cells.tolist())
 
 
 def test_indicator_rejects_duplicates_and_range():
@@ -92,7 +92,7 @@ def test_ideal_correlation_affine_in_disjoint_indicators(scene):
 def test_snapshot_power_single_target_exact(scene):
     # dither signs square away; no cross terms for K=1
     gains = scene.gains[:, [123]]
-    meas = synthesize_snapshot_power(gains, 0.0, 37, DitherPlan.from_seed(1),
+    meas = synthesize_snapshot_power(gains, 0.0, 37, 1,
                                      np.random.default_rng(2))
     np.testing.assert_allclose(meas.values, gains[:, 0] ** 2, rtol=1e-12)
 
@@ -100,25 +100,24 @@ def test_snapshot_power_single_target_exact(scene):
 def test_snapshot_power_single_snapshot_has_cross_terms(scene):
     gains = scene.gains[:, [100, 101]]
     ideal = (gains ** 2).sum(axis=1)
-    meas = synthesize_snapshot_power(gains, 0.0, 1, DitherPlan.from_seed(3),
+    meas = synthesize_snapshot_power(gains, 0.0, 1, 3,
                                      np.random.default_rng(4))
     assert not np.allclose(meas.values, ideal, rtol=1e-3, atol=0)
 
 
 def test_snapshot_power_converges_to_ideal(scene):
-    targets = sample_targets(scene.grid, 2, True, np.random.default_rng(5))
-    gains = scene.gains[:, targets.true_cells]
+    _, true_cells = sample_targets(scene.grid, 2, True, np.random.default_rng(5))
+    gains = scene.gains[:, true_cells]
     ideal = (gains ** 2).sum(axis=1)
-    meas = synthesize_snapshot_power(gains, 0.0, 10 ** 6,
-                                     DitherPlan.from_seed(6),
+    meas = synthesize_snapshot_power(gains, 0.0, 10 ** 6, 6,
                                      np.random.default_rng(7))
     rel = np.max(np.abs(meas.values - ideal) / ideal)
     assert rel < 1e-2
 
 
 def test_snapshot_error_shrinks_with_snapshot_count(scene):
-    targets = sample_targets(scene.grid, 4, True, np.random.default_rng(8))
-    gains = scene.gains[:, targets.true_cells]
+    _, true_cells = sample_targets(scene.grid, 4, True, np.random.default_rng(8))
+    gains = scene.gains[:, true_cells]
     ideal_p = (gains ** 2).sum(axis=1)
     cross = gains @ gains.T
     np.fill_diagonal(cross, 0.0)
@@ -126,8 +125,7 @@ def test_snapshot_error_shrinks_with_snapshot_count(scene):
     peak = np.max(np.abs(cross).sum(axis=1)[np.arange(16)] / ideal_p)
     errors = []
     for snaps in (10 ** 2, 10 ** 4, 10 ** 6):
-        meas = synthesize_snapshot_power(gains, 0.0, snaps,
-                                         DitherPlan.from_seed(9),
+        meas = synthesize_snapshot_power(gains, 0.0, snaps, 9,
                                          np.random.default_rng(10))
         errors.append(np.max(np.abs(meas.values - ideal_p) / ideal_p))
     assert errors[0] >= errors[1] >= errors[2]
@@ -137,8 +135,7 @@ def test_snapshot_error_shrinks_with_snapshot_count(scene):
 
 def test_snapshot_correlation_single_target_exact_any_length(scene):
     gains = scene.gains[:, [321]]
-    meas = synthesize_snapshot_correlation(gains, 0.0, 5,
-                                           DitherPlan.from_seed(11),
+    meas = synthesize_snapshot_correlation(gains, 0.0, 5, 11,
                                            np.random.default_rng(12),
                                            scene.pairs)
     expected = gains[scene.pairs.first, 0] * gains[scene.pairs.second, 0]
@@ -146,12 +143,11 @@ def test_snapshot_correlation_single_target_exact_any_length(scene):
 
 
 def test_snapshot_correlation_converges_to_ideal(scene):
-    targets = sample_targets(scene.grid, 2, True, np.random.default_rng(13))
-    ind = indicator_from_cells(targets.true_cells, scene.grid.n)
+    _, true_cells = sample_targets(scene.grid, 2, True, np.random.default_rng(13))
+    ind = indicator_from_cells(true_cells, scene.grid.n)
     ideal = scene.corr_dict.matrix @ ind
-    gains = scene.gains[:, targets.true_cells]
-    meas = synthesize_snapshot_correlation(gains, 0.0, 10 ** 6,
-                                           DitherPlan.from_seed(14),
+    gains = scene.gains[:, true_cells]
+    meas = synthesize_snapshot_correlation(gains, 0.0, 10 ** 6, 14,
                                            np.random.default_rng(15),
                                            scene.pairs)
     rel = np.max(np.abs(meas.values - ideal) / np.abs(ideal))
@@ -162,10 +158,11 @@ def test_snapshot_correlation_matches_dense_accumulation(scene):
     # the explicit reference sampler equals the dense symmetric estimate
     gains = scene.gains[:, [10, 60, 200]]
     snaps = 256
-    plan, seed = DitherPlan.from_seed(16), 17
-    acc = _explicit_second_moment(gains, 1e-12, snaps, plan,
+    dither, seed = 16, 17
+    acc = _explicit_second_moment(gains, 1e-12, snaps, dither,
                                   np.random.default_rng(seed))
-    signs = plan.generator().integers(0, 2, size=(snaps, 3)) * 2.0 - 1.0
+    signs = np.random.Generator(np.random.PCG64(dither)).integers(
+        0, 2, size=(snaps, 3)) * 2.0 - 1.0
     noise = np.random.default_rng(seed).normal(0.0, np.sqrt(1e-12), (snaps, 16))
     samples = signs @ gains.T + noise
     dense = samples.T @ samples / snaps
@@ -177,8 +174,7 @@ def test_snapshot_correlation_off_diagonal_has_no_noise_floor(scene):
     gains = scene.gains[:, [0]]
     s2 = 1e-11
     snaps = 10 ** 6
-    meas = synthesize_snapshot_correlation(gains, s2, snaps,
-                                           DitherPlan.from_seed(18),
+    meas = synthesize_snapshot_correlation(gains, s2, snaps, 18,
                                            np.random.default_rng(19),
                                            scene.pairs)
     i, j = scene.pairs.first, scene.pairs.second
@@ -191,8 +187,7 @@ def test_snapshot_correlation_off_diagonal_has_no_noise_floor(scene):
 
 def test_snapshot_synthesis_is_deterministic(scene):
     gains = scene.gains[:, [5, 9]]
-    runs = [synthesize_snapshot_power(gains, 1e-12, 1000,
-                                      DitherPlan.from_seed(20),
+    runs = [synthesize_snapshot_power(gains, 1e-12, 1000, 20,
                                       np.random.default_rng(21)).values
             for _ in range(2)]
     assert np.array_equal(runs[0], runs[1])
@@ -201,8 +196,7 @@ def test_snapshot_synthesis_is_deterministic(scene):
 def _sample_sums(sampler, gains, noise_variance, snapshots, draws, base):
     """``draws`` independent (M, M) sums, seeds base, base + 1, ..."""
     return np.stack([
-        sampler(gains, noise_variance, snapshots,
-                DitherPlan.from_seed(base + 2 * i),
+        sampler(gains, noise_variance, snapshots, base + 2 * i,
                 np.random.default_rng(base + 2 * i + 1))
         for i in range(draws)])
 
@@ -255,13 +249,13 @@ def test_statistics_sampler_detects_a_wrong_noise_level():
 
 @pytest.mark.parametrize("snapshots", [1, 64, 100, 128, 1000])
 def test_dither_gram_equals_unpacked_sign_products(snapshots):
-    plan = DitherPlan.from_seed(30)
+    dither = 30
     words = -(-snapshots // 64)
-    packed = plan.generator().integers(0, 1 << 64, size=(4, words),
-                                       dtype=np.uint64)
+    packed = np.random.Generator(np.random.PCG64(dither)).integers(
+        0, 1 << 64, size=(4, words), dtype=np.uint64)
     bits = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")
     signs = 2.0 * bits[:, :snapshots] - 1.0
-    np.testing.assert_array_equal(_packed_gram(plan, 4, snapshots),
+    np.testing.assert_array_equal(_packed_gram(dither, 4, snapshots),
                                   signs @ signs.T)
 
 
@@ -272,13 +266,13 @@ BLOCK_BITS = 64 * _GRAM_BLOCK_WORDS
                                        BLOCK_BITS + 1, 2 * BLOCK_BITS + 37])
 @pytest.mark.parametrize("k", [1, 2, 5, 11])
 def test_dither_gram_exact_across_word_blocks(k, snapshots):
-    plan = DitherPlan.from_seed(32)
+    dither = 32
     words = -(-snapshots // 64)
-    packed = plan.generator().integers(0, 1 << 64, size=(k, words),
-                                       dtype=np.uint64)
+    packed = np.random.Generator(np.random.PCG64(dither)).integers(
+        0, 1 << 64, size=(k, words), dtype=np.uint64)
     bits = np.unpackbits(packed.view(np.uint8), axis=1, bitorder="little")
     signs = 2.0 * bits[:, :snapshots] - 1.0
-    gram = _packed_gram(plan, k, snapshots)
+    gram = _packed_gram(dither, k, snapshots)
     np.testing.assert_array_equal(gram, signs @ signs.T)
     np.testing.assert_array_equal(gram, gram.T)
     np.testing.assert_array_equal(np.diagonal(gram), np.full(k, snapshots))
@@ -296,7 +290,7 @@ def test_sign_patterns_are_every_sign_column_up_to_negation(k):
 @pytest.mark.parametrize("snapshots,k", [(1, 1), (1, 4), (5, 3), (257, 3),
                                          (10 ** 4, 9), (10 ** 6, 8)])
 def test_pattern_gram_is_exact(snapshots, k):
-    gram = _pattern_gram(DitherPlan.from_seed(33), k, snapshots)
+    gram = _pattern_gram(33, k, snapshots)
     np.testing.assert_array_equal(gram, np.round(gram))
     np.testing.assert_array_equal(gram, gram.T)
     np.testing.assert_array_equal(np.diagonal(gram), np.full(k, snapshots))
@@ -313,11 +307,9 @@ def test_pattern_gram_is_exact(snapshots, k):
 def test_dither_gram_picks_draw_by_pattern_and_word_count(k, snapshots, draw,
                                                            other):
     # bit for bit: pattern counts while 2^(K-1) <= 2 ceil(L / 64), else packed
-    gram = _dither_gram(DitherPlan.from_seed(34), k, snapshots)
-    np.testing.assert_array_equal(gram,
-                                  draw(DitherPlan.from_seed(34), k, snapshots))
-    assert not np.array_equal(gram,
-                              other(DitherPlan.from_seed(34), k, snapshots))
+    gram = _dither_gram(34, k, snapshots)
+    np.testing.assert_array_equal(gram, draw(34, k, snapshots))
+    assert not np.array_equal(gram, other(34, k, snapshots))
 
 
 def _exact_off_diagonal_pmf(k, snapshots):
@@ -339,7 +331,7 @@ def _gram_chi_square(draw, k, snapshots, seeds):
     i, j = np.triu_indices(k, 1)
     observed = np.zeros(len(cells))
     for seed in range(seeds):
-        gram = draw(DitherPlan.from_seed(seed), k, snapshots)
+        gram = draw(seed, k, snapshots)
         observed[index[tuple(gram[i, j].astype(int).tolist())]] += 1
     expected = pmf * seeds
     return float(np.sum((observed - expected) ** 2 / expected)), len(cells) - 1
@@ -361,8 +353,8 @@ def test_dither_gram_draws_follow_the_exact_law(draw):
 def _weighted_pattern_gram(signs, weights):
     """A pattern-count draw over a given table and pattern weights."""
     def draw(dither, k, snapshots):
-        counts = dither.generator().multinomial(snapshots,
-                                                weights / weights.sum())
+        counts = np.random.Generator(np.random.PCG64(dither)).multinomial(
+            snapshots, weights / weights.sum())
         return (signs * counts) @ signs.T
     return draw
 
@@ -389,19 +381,24 @@ def test_wishart_identity_moments(dof):
     np.testing.assert_array_equal(draws, np.swapaxes(draws, 1, 2))
 
 
-@pytest.mark.parametrize("snapshots", [3, CROSSOVER, CROSSOVER + 1, 10 ** 4])
-@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("snapshots", [3, 100, CROSSOVER, CROSSOVER + 1, 10 ** 4])
+@pytest.mark.parametrize("k", [1, 3, 4, 10])
 def test_snapshot_power_is_correlation_diagonal_bit_for_bit(scene, snapshots, k):
+    # the dither is a seed that each draw restarts (explicit signs, pattern
+    # counts or packed words alike); a live Generator would be consumed
     gains = scene.gains[:, 100:100 + k]
-    power = synthesize_snapshot_power(gains, 1e-12, snapshots,
-                                      DitherPlan.from_seed(32),
+    power = synthesize_snapshot_power(gains, 1e-12, snapshots, 32,
                                       np.random.default_rng(33))
-    corr = synthesize_snapshot_correlation(gains, 1e-12, snapshots,
-                                           DitherPlan.from_seed(32),
+    corr = synthesize_snapshot_correlation(gains, 1e-12, snapshots, 32,
                                            np.random.default_rng(33),
                                            scene.pairs)
     np.testing.assert_array_equal(power.values,
                                   corr.values[scene.pairs.diagonal_rows])
+    for draw, *pairs in ((synthesize_snapshot_power,),
+                         (synthesize_snapshot_correlation, scene.pairs)):
+        with pytest.raises(TypeError):
+            draw(gains, 1e-12, snapshots, np.random.default_rng(32),
+                 np.random.default_rng(33), *pairs)
 
 
 @pytest.mark.parametrize("snapshots,sampler", [
@@ -411,11 +408,10 @@ def test_snapshot_power_is_correlation_diagonal_bit_for_bit(scene, snapshots, k)
 def test_snapshot_correlation_picks_sampler_by_length(scene, snapshots, sampler):
     # bit for bit: up to the crossover the explicit sampler, then statistics
     gains = scene.gains[:, [10, 60, 200]]
-    meas = synthesize_snapshot_correlation(gains, 1e-12, snapshots,
-                                           DitherPlan.from_seed(34),
+    meas = synthesize_snapshot_correlation(gains, 1e-12, snapshots, 34,
                                            np.random.default_rng(35),
                                            scene.pairs)
-    acc = sampler(gains, 1e-12, snapshots, DitherPlan.from_seed(34),
+    acc = sampler(gains, 1e-12, snapshots, 34,
                   np.random.default_rng(35))
     np.testing.assert_array_equal(
         meas.values, acc[scene.pairs.first, scene.pairs.second] / snapshots)
@@ -424,8 +420,7 @@ def test_snapshot_correlation_picks_sampler_by_length(scene, snapshots, sampler)
 @pytest.mark.parametrize("snapshots", [CROSSOVER + 1, 10 ** 6])
 def test_statistics_sampler_noiseless_single_target_exact(scene, snapshots):
     gains = scene.gains[:, [123]]
-    meas = synthesize_snapshot_power(gains, 0.0, snapshots,
-                                     DitherPlan.from_seed(1),
+    meas = synthesize_snapshot_power(gains, 0.0, snapshots, 1,
                                      np.random.default_rng(2))
     np.testing.assert_allclose(meas.values, gains[:, 0] ** 2, rtol=1e-12)
 
@@ -433,10 +428,10 @@ def test_statistics_sampler_noiseless_single_target_exact(scene, snapshots):
 def test_statistics_sampler_noiseless_singular_gram_is_exact():
     # L < K: the dither Gram matrix has rank at most L
     gains = np.random.default_rng(36).uniform(0.5, 1.5, size=(3, 5))
-    plan = DitherPlan.from_seed(37)
-    gram = _dither_gram(plan, 5, 2)
+    dither = 37
+    gram = _dither_gram(dither, 5, 2)
     assert np.linalg.matrix_rank(gram) <= 2
-    acc = _statistics_second_moment(gains, 0.0, 2, plan,
+    acc = _statistics_second_moment(gains, 0.0, 2, dither,
                                     np.random.default_rng(38))
     np.testing.assert_allclose(acc, gains @ gram @ gains.T, rtol=1e-12)
 
@@ -451,7 +446,7 @@ def _single_target_statistics(powers):
 def _explicit_single_target_powers(gains, noise_variance, snapshots, draws):
     return np.stack([
         np.diagonal(_explicit_second_moment(
-            gains, noise_variance, snapshots, DitherPlan.from_seed(2 * i),
+            gains, noise_variance, snapshots, 2 * i,
             np.random.default_rng(2 * i + 1))) / snapshots
         for i in range(draws)])
 
@@ -513,8 +508,7 @@ def test_single_target_powers_noiseless_exact(scene, snapshots):
 
 def test_snapshot_synthesis_rejects_zero_snapshots(scene):
     with pytest.raises(ValueError):
-        synthesize_snapshot_power(scene.gains[:, [0]], 0.0, 0,
-                                  DitherPlan.from_seed(0),
+        synthesize_snapshot_power(scene.gains[:, [0]], 0.0, 0, 0,
                                   np.random.default_rng(0))
     with pytest.raises(ValueError):
         synthesize_single_target_powers(scene.gains[:, [0]], 1e-12, 0,
@@ -522,8 +516,8 @@ def test_snapshot_synthesis_rejects_zero_snapshots(scene):
 
 
 def test_dither_signs_are_unbiased_and_independent():
-    plan = DitherPlan.from_seed(22)
-    signs = plan.generator().integers(0, 2, size=(200_000, 3)) * 2.0 - 1.0
+    signs = np.random.Generator(np.random.PCG64(22)).integers(
+        0, 2, size=(200_000, 3)) * 2.0 - 1.0
     assert np.all(np.abs(signs.mean(axis=0)) < 5e-3)
     corr = signs.T @ signs / signs.shape[0]
     off = corr[~np.eye(3, dtype=bool)]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from vlp_sparse import (DitherPlan, MeasurementVector, SceneConfig,
+from vlp_sparse import (MeasurementVector, SceneConfig,
                         brute_force_support, build_scene, gains_to_points,
                         indicator_from_cells, locate_cocsm,
                         locate_csm, nnls_top_k, omp, recoverability_advisory,
@@ -378,9 +378,9 @@ def test_paired_ideal_success_rates_cocsm_at_least_csm(scene):
     succ_p = succ_c = 0
     for t in range(500):
         rng = np.random.default_rng(np.random.SeedSequence(55, spawn_key=(t,)))
-        targets = sample_targets(scene.grid, 8, True, rng)
-        theta = indicator_from_cells(targets.true_cells, scene.grid.n)
-        truth = set(targets.true_cells.tolist())
+        _, true_cells = sample_targets(scene.grid, 8, True, rng)
+        theta = indicator_from_cells(true_cells, scene.grid.n)
+        truth = set(true_cells.tolist())
         meas_p = synthesize_ideal_power(scene.power_dict.matrix, theta, 0.0)
         loc_p = locate_csm(meas_p, scene.power_dict.matrix, 8, scene.grid)
         meas_c = synthesize_ideal_correlation(scene.corr_dict.matrix, theta, 0.0,
@@ -430,25 +430,24 @@ def test_locate_cocsm_nnls_recovers_noiseless_on_grid_supports(scene, k):
     # between targets on this all-positive dictionary)
     for t in range(4):
         rng = np.random.default_rng(np.random.SeedSequence(56, spawn_key=(k, t)))
-        targets = sample_targets(scene.grid, k, True, rng)
-        theta = indicator_from_cells(targets.true_cells, scene.grid.n)
+        _, true_cells = sample_targets(scene.grid, k, True, rng)
+        theta = indicator_from_cells(true_cells, scene.grid.n)
         meas = synthesize_ideal_correlation(scene.corr_dict.matrix, theta, 0.0,
                                             scene.pairs)
         loc = locate_cocsm(meas, scene.corr_dict.matrix, k, scene.grid,
                            scene.pairs, solver="nnls",
                            gain_model=scene.gain_model)
-        assert sorted(loc.support.tolist()) == targets.true_cells.tolist()
+        assert sorted(loc.support.tolist()) == true_cells.tolist()
         assert np.array_equal(loc.positions, scene.grid.centers_of(loc.support))
 
 
 def test_locate_nnls_returns_k_cell_centers_off_grid(scene):
     rng = np.random.default_rng(57)
-    targets = sample_targets(scene.grid, 6, False, rng)
-    pts = np.column_stack([targets.true_positions, np.full(6, 0.85)])
+    true_positions, _ = sample_targets(scene.grid, 6, False, rng)
+    pts = np.column_stack([true_positions, np.full(6, 0.85)])
     gains = gains_to_points(scene.gain_model.anchors, pts, scene.config.pd,
                             scene.gain_model.m)
-    meas = synthesize_snapshot_correlation(gains, 1e-12, 200,
-                                           DitherPlan.from_seed(58),
+    meas = synthesize_snapshot_correlation(gains, 1e-12, 200, 58,
                                            np.random.default_rng(59),
                                            scene.pairs)
     loc = locate_cocsm(meas, scene.corr_dict.matrix, 6, scene.grid, scene.pairs,

@@ -69,9 +69,10 @@ def test_two_by_one_lattice():
 
 def test_sample_targets_at_precondition_boundary():
     grid = build_grid(SceneConfig())
-    targets = sample_targets(grid, grid.n // 4, False, np.random.default_rng(0))
-    assert targets.k == 100
-    assert len(set(targets.true_cells.tolist())) == 100
+    positions, cells = sample_targets(grid, grid.n // 4, False,
+                                      np.random.default_rng(0))
+    assert positions.shape == (100, 2) and cells.shape == (100,)
+    assert len(set(cells.tolist())) == 100
 
 
 def test_sample_targets_rejects_excess_k():
@@ -82,25 +83,24 @@ def test_sample_targets_rejects_excess_k():
 
 def test_on_grid_targets_sit_on_centers():
     grid = build_grid(SceneConfig())
-    targets = sample_targets(grid, 5, True, np.random.default_rng(3))
-    assert np.array_equal(targets.true_positions,
-                          grid.centers_of(targets.true_cells))
+    positions, cells = sample_targets(grid, 5, True, np.random.default_rng(3))
+    assert np.array_equal(positions, grid.centers_of(cells))
 
 
 def test_off_grid_targets_stay_inside_their_cells():
     grid = build_grid(SceneConfig())
-    targets = sample_targets(grid, 50, False, np.random.default_rng(4))
-    offsets = targets.true_positions - grid.centers_of(targets.true_cells)
+    positions, cells = sample_targets(grid, 50, False, np.random.default_rng(4))
+    offsets = positions - grid.centers_of(cells)
     assert np.all(np.abs(offsets) <= grid.pitch / 2)
-    assert np.array_equal(grid.cell_of(targets.true_positions), targets.true_cells)
+    assert np.array_equal(grid.cell_of(positions), cells)
 
 
 def test_sampling_is_deterministic_per_seed():
     grid = build_grid(SceneConfig())
     a = sample_targets(grid, 8, False, np.random.default_rng(42))
     b = sample_targets(grid, 8, False, np.random.default_rng(42))
-    assert np.array_equal(a.true_cells, b.true_cells)
-    assert np.array_equal(a.true_positions, b.true_positions)
+    for ours, theirs in zip(a, b):  # the positions, then the cells
+        assert np.array_equal(ours, theirs)
 
 
 @pytest.mark.parametrize("field,value", [
