@@ -21,9 +21,8 @@ from .measurement import (CORRELATION, POWER, MeasurementVector,
                           synthesize_ideal_correlation, synthesize_ideal_power,
                           synthesize_snapshot_correlation,
                           synthesize_snapshot_power)
-from .recovery import (LocalizationResult, RecoveryAdvisory, SparseSolution,
-                       brute_force_support, locate_cocsm, locate_csm,
-                       nnls_top_k, omp, recoverability_advisory,
+from .recovery import (RecoveryAdvisory, SparseSolution, locate_cocsm,
+                       locate_csm, nnls_top_k, omp, recoverability_advisory,
                        refine_off_grid)
 from .scenario import (SCHEMES, SOLVERS, ConfigError, GridModel, PdOptics,
                        SceneConfig, apply_overrides, build_grid,

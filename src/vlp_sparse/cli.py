@@ -122,7 +122,7 @@ def cmd_simulate(config: SceneConfig, out_dir: str,
         "error_m": result.error_m,
         "exact_support": bool(result.exact_support),
         "snr_db": result.snr_db,
-        "snapshots": result.snapshots,
+        "snapshots": config.snapshots,
         "support": result.support,
         "true_positions": result.true_positions,
         "est_positions": aligned,

@@ -33,7 +33,7 @@ from .measurement import (POWER, MeasurementVector,
                           synthesize_snapshot_correlation)
 # unused here, but perfbench/spans.py times the power synthesis under this name
 from .measurement import synthesize_snapshot_power  # noqa: F401
-from .recovery import Dictionary, LocalizationResult, locate_cocsm, locate_csm
+from .recovery import Dictionary, locate_cocsm, locate_csm
 from .scenario import (SCHEMES, ConfigError, GridModel, SceneConfig, _is_integer,
                        build_grid, check_targets_k, place_leds, realized_snr_db,
                        sample_targets, snr_to_noise_variance)
@@ -70,18 +70,18 @@ def build_scene(config: SceneConfig) -> Scene:
 
 @dataclass(frozen=True)
 class TrialResult:
-    scheme: str
-    k: int
     snr_db: float  # realized SNR of the trial
-    snapshots: int
-    error_m: float
+    error_m: float  # NaN when failed
     exact_support: bool
-    failed: bool = False
-    failure: str | None = None  # "ExceptionType: message" when failed
-    support: np.ndarray | None = None
-    est_positions: np.ndarray | None = None
-    true_positions: np.ndarray | None = None
-    measurement: MeasurementVector | None = None
+    failure: str | None  # "ExceptionType: message" when failed
+    support: np.ndarray | None
+    est_positions: np.ndarray | None
+    true_positions: np.ndarray
+    measurement: MeasurementVector | None
+
+    @property
+    def failed(self) -> bool:
+        return self.failure is not None
 
 
 @dataclass(frozen=True)
@@ -304,12 +304,14 @@ def run_trial(config: SceneConfig, rng: np.random.Generator,
             if scheme == "csm":  # the anchor-with-itself rows are powers
                 meas = MeasurementVector(corr.values[scene.pairs.diagonal_rows],
                                          POWER, noise_variance, config.snapshots)
-                loc = locate_csm(meas, scene.power_dict, k, scene.grid,
-                                 solver=config.solver, gain_model=scene.gain_model)
+                support = locate_csm(meas, scene.power_dict, k, scene.grid,
+                                     solver=config.solver, gain_model=scene.gain_model)
+                est = scene.grid.centers_of(support)
             elif scheme == "cocsm":
                 meas = corr
-                loc = locate_cocsm(meas, scene.corr_dict, k, scene.grid, scene.pairs,
-                                   solver=config.solver, gain_model=scene.gain_model)
+                support = locate_cocsm(meas, scene.corr_dict, k, scene.grid, scene.pairs,
+                                       solver=config.solver, gain_model=scene.gain_model)
+                est = scene.grid.centers_of(support)
             elif scheme == "rss_baseline":  # each target measured alone
                 meas = MeasurementVector(synthesize_single_target_powers(
                     target_gains, noise_variance, config.snapshots,
@@ -317,23 +319,18 @@ def run_trial(config: SceneConfig, rng: np.random.Generator,
                     config.snapshots)
                 est = rss_baseline_locate(remove_noise_floor(meas).values,
                                           scene.lateration)
-                loc = LocalizationResult(est, np.sort(scene.grid.cell_of(est)), scheme)
+                support = np.sort(scene.grid.cell_of(est))
             else:
                 raise ValueError(f"unknown scheme '{scheme}'")
-            results[scheme] = TrialResult(
-                scheme=scheme, k=k, snr_db=realized_snr,
-                snapshots=config.snapshots,
-                error_m=match_and_error(loc.positions, true_positions),
-                exact_support=set(loc.support.tolist()) == set(true_cells.tolist()),
-                support=loc.support, est_positions=loc.positions,
-                true_positions=true_positions, measurement=meas)
+            error_m, failure = match_and_error(est, true_positions), None
+            exact = set(support.tolist()) == set(true_cells.tolist())
         except (ValueError, np.linalg.LinAlgError) as exc:
-            results[scheme] = TrialResult(
-                scheme=scheme, k=k, snr_db=realized_snr,
-                snapshots=config.snapshots, error_m=math.nan,
-                exact_support=False, failed=True,
-                failure=f"{type(exc).__name__}: {exc}",
-                true_positions=true_positions)
+            error_m, failure = math.nan, f"{type(exc).__name__}: {exc}"
+            exact, support, est, meas = False, None, None, None
+        results[scheme] = TrialResult(
+            snr_db=realized_snr, error_m=error_m, exact_support=exact,
+            failure=failure, support=support, est_positions=est,
+            true_positions=true_positions, measurement=meas)
     return results
 
 

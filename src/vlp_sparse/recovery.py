@@ -1,40 +1,41 @@
 """Sparse recovery solvers and the grid localization pipelines.
 
 Measurements are modeled as ``b = A theta`` with ``theta`` a binary K-sparse
-cell indicator and ``A`` one of the fingerprint matrices.  Recovery reports
-the support (occupied cells); target positions are the matching cell
-centers.  Greedy selection always correlates against unit-normalized
-columns because fingerprint column energies vary by orders of magnitude
-across the room, which would otherwise bias selection toward cells under
-anchors.  Ties break toward the lowest index everywhere.
+cell indicator and ``A`` one of the fingerprint matrices.  ``locate_csm``
+and ``locate_cocsm`` return the support, the (K,) occupied cells; target
+positions are their centers, ``grid.centers_of(cells)``.  Greedy selection
+always correlates against unit-normalized columns because fingerprint
+column energies vary by orders of magnitude across the room, which would
+otherwise bias selection toward cells under anchors.  Ties break toward
+the lowest index everywhere.
 
 The ``omp`` solver, the default, needs numpy only.  The ``nnls`` solver
 uses the indicator's sign: nonnegative least squares finds the support
 where greedy pursuit, misled by the large component all (positive) columns
-share, picks cells between targets.  It then refines the K positions off
-the grid against the continuous gain model and reports the cells that
-contain them.  Both of its steps import ``scipy.optimize`` where they call
-it, so that a process running ``omp`` never loads scipy.
+share, picks cells between targets.  ``refine_off_grid`` then fits the K
+positions off the grid against the continuous gain model and returns them
+as a (K, 2) array; the support is the cells that contain them.  Both steps
+import ``scipy.optimize`` where they call it, so that a process running
+``omp`` never loads scipy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import GainModel, PairIndexMap
 from .measurement import CORRELATION, POWER, MeasurementVector, remove_noise_floor
-from .scenario import SOLVERS, GridModel, realized_snr_db
+from .scenario import SOLVERS, GridModel
 
 _EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class SparseSolution:
-    """Support, coefficients over the support, and solve diagnostics."""
+    """Support, coefficients over the support, residual norm and iteration count."""
 
     support: np.ndarray  # int indices; OMP keeps selection order
     coefficients: np.ndarray
@@ -52,14 +53,6 @@ class RecoveryAdvisory:
     threshold: float
     ratio: float
     flagged: bool
-
-
-@dataclass(frozen=True)
-class LocalizationResult:
-    positions: np.ndarray  # (K, 2) cell centers of the recovered support
-    support: np.ndarray
-    scheme: str
-    diagnostics: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +185,7 @@ def nnls_top_k(A: np.ndarray | Dictionary, b: np.ndarray, k: int) -> SparseSolut
 
 def refine_off_grid(xy: np.ndarray, b: np.ndarray, first: np.ndarray,
                     second: np.ndarray, gain_model: GainModel,
-                    grid: GridModel):
+                    grid: GridModel) -> np.ndarray:
     """Fit K continuous positions to ``b`` under the exact measurement model.
 
     Row ``r`` of the model is ``sum_k g_first[r](p_k) g_second[r](p_k)``:
@@ -200,7 +193,7 @@ def refine_off_grid(xy: np.ndarray, b: np.ndarray, first: np.ndarray,
     trust-region least squares over the 2K coordinates, confined to the
     floor and started from ``xy`` (K, 2) with the closed-form Jacobian;
     residuals are scaled by ``||b||``.  Returns the refined (K, 2)
-    positions and scipy's result.
+    positions.
     """
     import scipy.optimize
     xy = np.asarray(xy, dtype=float)
@@ -220,33 +213,7 @@ def refine_off_grid(xy: np.ndarray, b: np.ndarray, first: np.ndarray,
     upper = np.tile([grid.nx * grid.pitch, grid.ny * grid.pitch], k)
     fit = scipy.optimize.least_squares(residual, xy.ravel(), jac=jacobian,
                                        bounds=(0.0, upper))
-    return fit.x.reshape(k, 2), fit
-
-
-def brute_force_support(A: np.ndarray, b: np.ndarray, k: int) -> SparseSolution:
-    """Exhaustive oracle: least-squares fit of every K-subset of columns.
-
-    Ties break toward the lexicographically first subset.  Refuses instances
-    with more than 1e6 candidate subsets.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float).ravel()
-    n = A.shape[1]
-    if not 1 <= k <= n:
-        raise ValueError("k out of range")
-    if math.comb(n, k) > 1_000_000:
-        raise ValueError(f"C({n}, {k}) exceeds the 1e6 subset budget")
-    best_res = math.inf
-    best: tuple[tuple[int, ...], np.ndarray] | None = None
-    for subset in combinations(range(n), k):
-        x, _, _, _ = np.linalg.lstsq(A[:, subset], b, rcond=None)
-        res = float(np.linalg.norm(b - A[:, subset] @ x))
-        if res < best_res:
-            best_res = res
-            best = (subset, x)
-    assert best is not None
-    return SparseSolution(support=np.array(best[0]), coefficients=best[1],
-                          residual_norm=best_res, iterations=math.comb(n, k))
+    return fit.x.reshape(k, 2)
 
 
 def recoverability_advisory(m_eff: int, n: float, k: int) -> RecoveryAdvisory:
@@ -284,59 +251,49 @@ def _distinct_cells(grid: GridModel, xy: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _locate(scheme: str, fp: np.ndarray | Dictionary, b: np.ndarray, k: int,
-            noise_variance: float, grid: GridModel, first: np.ndarray,
-            second: np.ndarray, solver: str,
-            gain_model: GainModel | None) -> LocalizationResult:
+def _locate(fp: np.ndarray | Dictionary, b: np.ndarray, k: int, grid: GridModel,
+            first: np.ndarray, second: np.ndarray, solver: str,
+            gain_model: GainModel | None) -> np.ndarray:
+    """``omp``'s picks in selection order, or the distinct cells that hold
+    the ``nnls`` positions refined off the grid."""
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver '{solver}'")
     if solver == "nnls" and gain_model is None:
         raise ValueError("the nnls solver needs the continuous gain model")
-    fp = Dictionary.of(fp)
-    solution = (omp if solver == "omp" else nnls_top_k)(fp, b, k)
-    diagnostics = {"snr_db": realized_snr_db(float(b.sum() / b.size),
-                                             noise_variance),
-                   "residual_norm": solution.residual_norm,
-                   "solver": solver,
-                   "advisory": recoverability_advisory(*fp.matrix.shape, k),
-                   "solution": solution}
-    support = solution.support
-    if solver == "nnls":
-        refined, fit = refine_off_grid(grid.centers_of(support), b, first,
-                                       second, gain_model, grid)
-        support = _distinct_cells(grid, refined)
-        diagnostics.update(refined_positions=refined, refine_nfev=fit.nfev)
-    return LocalizationResult(positions=grid.centers_of(support),
-                              support=support, scheme=scheme,
-                              diagnostics=diagnostics)
+    if solver == "omp":
+        return omp(fp, b, k).support
+    support = nnls_top_k(fp, b, k).support
+    return _distinct_cells(grid, refine_off_grid(grid.centers_of(support), b, first,
+                                                 second, gain_model, grid))
 
 
 def locate_csm(meas: MeasurementVector, power_fp: np.ndarray | Dictionary,
                k: int, grid: GridModel, solver: str = "omp",
-               gain_model: GainModel | None = None) -> LocalizationResult:
-    """Power-measurement pipeline: floor removal, sparse solve, cells to centers.
+               gain_model: GainModel | None = None) -> np.ndarray:
+    """Power-measurement pipeline: floor removal, then the sparse solve.
 
-    The floor is the noise variance ``meas`` carries.  ``gain_model`` is
-    used, and required, only by the ``nnls`` solver.
+    Returns the (K,) support.  The floor is the noise variance ``meas``
+    carries.  ``gain_model`` is used, and required, only by the ``nnls``
+    solver.
     """
     if meas.model != POWER:
         raise ValueError("csm expects a power measurement")
     b = remove_noise_floor(meas).values
     anchors = np.arange(b.size)
-    return _locate("csm", power_fp, b, k, meas.noise_variance, grid, anchors,
-                   anchors, solver, gain_model)
+    return _locate(power_fp, b, k, grid, anchors, anchors, solver, gain_model)
 
 
 def locate_cocsm(meas: MeasurementVector, corr_fp: np.ndarray | Dictionary,
                  k: int, grid: GridModel, pairs: PairIndexMap, solver: str = "omp",
-                 gain_model: GainModel | None = None) -> LocalizationResult:
+                 gain_model: GainModel | None = None) -> np.ndarray:
     """Correlation-measurement pipeline with diagonal-row floor removal.
 
-    The floor is the noise variance ``meas`` carries.  ``gain_model`` is
-    used, and required, only by the ``nnls`` solver.
+    Returns the (K,) support.  The floor is the noise variance ``meas``
+    carries.  ``gain_model`` is used, and required, only by the ``nnls``
+    solver.
     """
     if meas.model != CORRELATION:
         raise ValueError("cocsm expects a correlation measurement")
     b = remove_noise_floor(meas, pairs).values
-    return _locate("cocsm", corr_fp, b, k, meas.noise_variance, grid, pairs.first,
-                   pairs.second, solver, gain_model)
+    return _locate(corr_fp, b, k, grid, pairs.first, pairs.second, solver,
+                   gain_model)

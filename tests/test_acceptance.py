@@ -15,8 +15,9 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from vlp_sparse import (PdOptics, SceneConfig, brute_force_support,
-                        build_scene, cell_quantization_floor, gains_to_points,
+from oracles import brute_force_support
+from vlp_sparse import (PdOptics, SceneConfig, build_scene,
+                        cell_quantization_floor, gains_to_points,
                         indicator_from_cells, locate_cocsm, locate_csm,
                         match_and_error, omp, recoverability_advisory,
                         sample_targets, snr_to_noise_variance,
@@ -88,14 +89,14 @@ def test_criterion_03_single_target_exhaustive_sweep():
     for cell in range(scene.grid.n):
         theta = indicator_from_cells([cell], scene.grid.n)
         meas_p = synthesize_ideal_power(scene.power_dict.matrix, theta, 0.0)
-        loc_p = locate_csm(meas_p, scene.power_dict.matrix, 1, scene.grid,
-                           solver="omp")
-        assert loc_p.support.tolist() == [cell], f"csm missed cell {cell}"
+        support_p = locate_csm(meas_p, scene.power_dict.matrix, 1, scene.grid,
+                               solver="omp")
+        assert support_p.tolist() == [cell], f"csm missed cell {cell}"
         meas_c = synthesize_ideal_correlation(scene.corr_dict.matrix, theta, 0.0,
                                               scene.pairs)
-        loc_c = locate_cocsm(meas_c, scene.corr_dict.matrix, 1, scene.grid,
-                             scene.pairs, solver="omp")
-        assert loc_c.support.tolist() == [cell], f"cocsm missed cell {cell}"
+        support_c = locate_cocsm(meas_c, scene.corr_dict.matrix, 1, scene.grid,
+                                 scene.pairs, solver="omp")
+        assert support_c.tolist() == [cell], f"cocsm missed cell {cell}"
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"runtime {elapsed:.1f}s exceeds 10s"
     _report(3, "single-target-sweep", started, "400/400 both schemes")
@@ -214,12 +215,12 @@ def test_criterion_07_quantization_floor():
         meas = synthesize_snapshot_correlation(
             gains, noise_var, 10 ** 6, int(seeds[0]),
             np.random.default_rng(int(seeds[1])), scene.pairs)
-        loc = locate_cocsm(meas, scene.corr_dict.matrix, 8, scene.grid,
-                           scene.pairs, solver="nnls",
-                           gain_model=scene.gain_model)
-        err = match_and_error(loc.positions, true_positions)
+        support = locate_cocsm(meas, scene.corr_dict.matrix, 8, scene.grid,
+                               scene.pairs, solver="nnls",
+                               gain_model=scene.gain_model)
+        err = match_and_error(scene.grid.centers_of(support), true_positions)
         errors.append(err)
-        if set(loc.support.tolist()) == set(true_cells.tolist()):
+        if set(support.tolist()) == set(true_cells.tolist()):
             exact_offsets.append(err)
     mean_err = float(np.mean(errors))
     assert mean_err < 0.2, \
