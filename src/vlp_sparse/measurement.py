@@ -28,6 +28,7 @@ power and a correlation draw from one seed see the same signs; a live
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,12 +141,16 @@ def _packed_gram(dither: int, k: int, snapshots: int) -> np.ndarray:
     return snapshots - 2.0 * (differ + differ.T)
 
 
+@functools.cache
 def _sign_patterns(k: int) -> np.ndarray:
     """(K, 2^(K-1)) table of every +/-1 column with first sign +1; column p
-    holds the bits of p (a set bit is -1) in rows 1..K-1."""
+    holds the bits of p (a set bit is -1) in rows 1..K-1.  Built once per K
+    and read-only; ``_dither_gram`` asks for it only while it has at most
+    twice as many entries as the packed sign words."""
     signs = np.ones((k, 1 << (k - 1)))
     for row in range(1, k):
         signs[row].reshape(-1, 2, 1 << (row - 1))[:, 1] = -1.0
+    signs.setflags(write=False)
     return signs
 
 

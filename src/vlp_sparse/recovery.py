@@ -7,9 +7,12 @@ positions are their centers, ``grid.centers_of(cells)``.  Greedy selection
 always correlates against unit-normalized columns because fingerprint
 column energies vary by orders of magnitude across the room, which would
 otherwise bias selection toward cells under anchors.  Ties break toward
-the lowest index everywhere.
+the lowest index everywhere.  A solve returns the support and its
+iteration count, not coefficients or a residual.
 
-The ``omp`` solver, the default, needs numpy only.  The ``nnls`` solver
+The ``omp`` solver, the default, needs numpy only.  It picks from rows of
+the Gram matrix of the unit columns, which a :class:`Dictionary` computes
+on first use and keeps, so a scene's dictionaries warm up over its trials.  The ``nnls`` solver
 uses the indicator's sign: nonnegative least squares finds the support
 where greedy pursuit, misled by the large component all (positive) columns
 share, picks cells between targets.  ``refine_off_grid`` then fits the K
@@ -22,24 +25,22 @@ import ``scipy.optimize`` where they call it, so that a process running
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import GainModel, PairIndexMap
 from .measurement import CORRELATION, POWER, MeasurementVector, remove_noise_floor
-from .scenario import SOLVERS, GridModel
+from .scenario import MAX_SCENE_ENTRIES, SOLVERS, GridModel
 
 _EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class SparseSolution:
-    """Support, coefficients over the support, residual norm and iteration count."""
+    """Support and iteration count of a sparse solve."""
 
     support: np.ndarray  # int indices; OMP keeps selection order
-    coefficients: np.ndarray
-    residual_norm: float
     iterations: int
 
 
@@ -57,11 +58,13 @@ class RecoveryAdvisory:
 
 @dataclass(frozen=True, eq=False)
 class Dictionary:
-    """A dictionary matrix and the read-only column norms its solves read."""
+    """A dictionary matrix, the read-only column norms its solves read and
+    the rows of its unit columns' Gram matrix that ``omp`` has read."""
 
     matrix: np.ndarray  # (rows, cols), a read-only view
     norms: np.ndarray  # column norms, 1 for zero columns
     inv_norms: np.ndarray  # 1 / norm, 0 for zero columns
+    _gram_rows: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def of(cls, A) -> "Dictionary":
@@ -77,28 +80,51 @@ class Dictionary:
             array.setflags(write=False)
         return cls(matrix, norms, inv_norms)
 
+    def gram_row(self, j: int) -> np.ndarray:
+        """Row ``j`` of ``U^T U``, U the unit columns (zero columns stay 0),
+        read-only.
+
+        Computed on first use and kept while the kept rows hold at most
+        ``MAX_SCENE_ENTRIES`` entries, the bound of a scene array; a row
+        past that is recomputed on each use, the same way, so a solve does
+        not depend on what is kept.
+        """
+        row = self._gram_rows.get(j)
+        if row is None:
+            row = self.matrix.T @ (self.matrix[:, j] * self.inv_norms[j])
+            row *= self.inv_norms
+            row.setflags(write=False)
+            if (len(self._gram_rows) + 1) * row.size <= MAX_SCENE_ENTRIES:
+                self._gram_rows[j] = row
+        return row
+
 
 def omp(A: np.ndarray | Dictionary, b: np.ndarray, k: int) -> SparseSolution:
     """Orthogonal matching pursuit: exactly ``k`` greedy selections.
 
-    Each pick scores every column by ``|a_j^T r| / ||a_j||``, the
-    |correlation| of the unit-normalized column with the residual, in one
-    pass over the dictionary.  The selected columns are kept as an
-    incremental QR factorization: the candidate is orthogonalized against
-    the kept ``Q`` by classical Gram-Schmidt applied twice (CGS2, which
-    keeps ``Q`` orthonormal to working precision where one pass loses
-    orthogonality on ill-conditioned columns), and the residual is updated
-    as ``r -= q (q^T r)``, so no least-squares problem is re-solved per
-    step.  The coefficients on the raw columns come from one solve of the
-    triangular system ``R x = Q^T b`` at the end; R's diagonal is positive.
+    Each pick takes the largest ``|u_j^T r|``, the |correlation| of the
+    unit-normalized column ``u_j`` with the residual ``r`` of the
+    least-squares fit of ``b`` on the columns picked so far.  The solve is
+    batch OMP (Rubinstein, Zibulevsky and Elad 2008): it never forms ``r``.
+    It keeps ``alpha = U^T r``, starting from ``(A^T b) / ||a_j||``, and
+    ``W = Q^T U``, with ``Q`` the orthonormal basis of the picked columns.
+    A pick ``j`` reads row ``j`` of the Gram matrix ``U^T U``
+    (:meth:`Dictionary.gram_row`) and updates both:
 
-    A candidate whose remainder after orthogonalization is at most
-    ``rows * eps * ||a_j||`` lies in the span of the selected columns to
-    working precision; it is skipped in favor of the next-best column.
-    This is the ``eps * max(rows, cols)`` scale of ``numpy.linalg.lstsq``'s
-    default ``rcond``, measured against the candidate's own norm instead
-    of the largest singular value of the selected columns, so the test
-    does not depend on how the columns are scaled.
+        u = G[j] - W[:n, j] @ W[:n],   rho = sqrt(u[j]),
+        W[n] = u / rho,                alpha -= W[n] * (alpha[j] / rho),
+
+    where ``u[j] = rho^2`` is the squared norm of what remains of ``u_j``
+    after projecting out the picked columns.  So a pick costs one pass over
+    a Gram row and no least-squares solve; only the support is returned.
+
+    A candidate with ``u[j] <= max(rows, cols) * eps`` lies in the span of
+    the picked columns to working precision; it is skipped in favor of the
+    next-best column.  This is ``numpy.linalg.lstsq``'s default ``rcond``
+    scale, applied to the squared unit remainder: ``u[j]`` is formed as
+    ``1 - ||h||^2``, which cancels, so the Gram domain cannot resolve the
+    smaller ``rows * eps`` bound on the remainder itself that a
+    Gram-Schmidt solve can.
     """
     D = Dictionary.of(A)
     b = np.asarray(b, dtype=float).ravel()
@@ -110,43 +136,30 @@ def omp(A: np.ndarray | Dictionary, b: np.ndarray, k: int) -> SparseSolution:
     if b @ b == 0:
         raise ValueError("zero measurement: support of size k is undefined")
 
-    q_rows = np.empty((k, rows))  # Q^T, one orthonormal row per pick
-    r_upper = np.zeros((k, k))
+    dependent = max(rows, cols) * _EPS
+    alpha = (D.matrix.T @ b) * D.inv_norms  # U^T r
+    w = np.empty((k, cols))  # Q^T U, one row per pick
     taken: list[int] = []  # selected or rejected
     selected: list[int] = []
-    residual = b.copy()
     for n in range(k):
-        scores = D.matrix.T @ residual
-        np.abs(scores, out=scores)
-        scores *= D.inv_norms
+        scores = np.abs(alpha)
         scores[taken] = -1.0
-        kept = q_rows[:n]
         while True:
             j = int(scores.argmax())  # first maximum: lowest index
             if scores[j] < 0:
                 raise ValueError("fewer than k linearly independent columns available")
             taken.append(j)
             scores[j] = -1.0
-            q = D.matrix[:, j].copy()
+            u = D.gram_row(j)
             if n:  # the first pick has nothing to project out
-                h = kept @ q
-                q -= h @ kept
-                h2 = kept @ q
-                q -= h2 @ kept
-            remainder = math.sqrt(q @ q)
-            if remainder > rows * _EPS * D.norms[j]:
+                u = u - w[:n, j] @ w[:n]
+            if u[j] > dependent:
                 break
-        q /= remainder
-        q_rows[n] = q
-        if n:
-            r_upper[:n, n] = h + h2
-        r_upper[n, n] = remainder
-        residual -= q * (q @ residual)
+        rho = math.sqrt(u[j])
+        np.divide(u, rho, out=w[n])
+        alpha -= w[n] * (alpha[j] / rho)
         selected.append(j)
-    return SparseSolution(support=np.array(selected),
-                          coefficients=np.linalg.solve(r_upper, q_rows @ b),
-                          residual_norm=math.sqrt(residual @ residual),
-                          iterations=len(selected))
+    return SparseSolution(support=np.array(selected), iterations=len(selected))
 
 
 def nnls_top_k(A: np.ndarray | Dictionary, b: np.ndarray, k: int) -> SparseSolution:
@@ -156,9 +169,8 @@ def nnls_top_k(A: np.ndarray | Dictionary, b: np.ndarray, k: int) -> SparseSolut
     Lawson-Hanson active-set method, then ranks cells by ``x / ||column||``,
     the coefficient on the raw column (the indicator estimate).  The support
     holds the ``k`` largest in descending order, ties toward the lowest
-    index; the residual is that of the fit truncated to it.  Raises
-    ``ValueError`` on a zero measurement or when the active set does not
-    settle within scipy's iteration limit.
+    index.  Raises ``ValueError`` on a zero measurement or when the active
+    set does not settle within scipy's iteration limit.
     """
     D = Dictionary.of(A)
     b = np.asarray(b, dtype=float).ravel()
@@ -176,11 +188,8 @@ def nnls_top_k(A: np.ndarray | Dictionary, b: np.ndarray, k: int) -> SparseSolut
         raise ValueError(f"nnls: {exc}") from None
     theta = x / D.norms
     support = np.lexsort((np.arange(cols), -theta))[:k]
-    residual = b - D.matrix[:, support] @ theta[support]
     # scipy reports no iteration count: one active-set solve
-    return SparseSolution(support=support, coefficients=theta[support],
-                          residual_norm=float(np.linalg.norm(residual)),
-                          iterations=1)
+    return SparseSolution(support=support, iterations=1)
 
 
 def refine_off_grid(xy: np.ndarray, b: np.ndarray, first: np.ndarray,

@@ -1,14 +1,21 @@
 """Exhaustive reference solvers that the tests compare the package against."""
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from vlp_sparse import SparseSolution
+
+@dataclass(frozen=True)
+class OracleFit:
+    """The best K-subset of columns and the residual norm of its fit."""
+
+    support: np.ndarray
+    residual_norm: float
 
 
-def brute_force_support(A: np.ndarray, b: np.ndarray, k: int) -> SparseSolution:
+def brute_force_support(A: np.ndarray, b: np.ndarray, k: int) -> OracleFit:
     """Exhaustive oracle: least-squares fit of every K-subset of columns.
 
     Ties break toward the lexicographically first subset.  Refuses instances
@@ -22,13 +29,12 @@ def brute_force_support(A: np.ndarray, b: np.ndarray, k: int) -> SparseSolution:
     if math.comb(n, k) > 1_000_000:
         raise ValueError(f"C({n}, {k}) exceeds the 1e6 subset budget")
     best_res = math.inf
-    best: tuple[tuple[int, ...], np.ndarray] | None = None
+    best: tuple[int, ...] | None = None
     for subset in combinations(range(n), k):
         x, _, _, _ = np.linalg.lstsq(A[:, subset], b, rcond=None)
         res = float(np.linalg.norm(b - A[:, subset] @ x))
         if res < best_res:
             best_res = res
-            best = (subset, x)
+            best = subset
     assert best is not None
-    return SparseSolution(support=np.array(best[0]), coefficients=best[1],
-                          residual_norm=best_res, iterations=math.comb(n, k))
+    return OracleFit(support=np.array(best), residual_norm=best_res)

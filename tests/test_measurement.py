@@ -287,6 +287,14 @@ def test_sign_patterns_are_every_sign_column_up_to_negation(k):
     assert np.unique(both, axis=1).shape[1] == 2 ** k
 
 
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_sign_patterns_are_kept_read_only_and_equal_a_fresh_build(k):
+    signs = _sign_patterns(k)
+    assert _sign_patterns(k) is signs
+    assert not signs.flags.writeable
+    np.testing.assert_array_equal(signs, _sign_patterns.__wrapped__(k))
+
+
 @pytest.mark.parametrize("snapshots,k", [(1, 1), (1, 4), (5, 3), (257, 3),
                                          (10 ** 4, 9), (10 ** 6, 8)])
 def test_pattern_gram_is_exact(snapshots, k):
