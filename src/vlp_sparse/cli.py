@@ -1,5 +1,9 @@
 """Command-line front end: fingerprint/simulate/sweep subcommands.
 
+Every ``SceneConfig`` key (``scheme``, ``solver``, ``targets_k``, ...) is
+set by ``--config`` or ``--set KEY=VALUE``; only the seed has a flag of its
+own, ``--seed``.
+
 Outputs are plot-ready CSV tables (floats at 17 significant digits, so the
 text round-trips) with JSON mirrors, plus a run manifest with content
 digests.  Reruns with the same config and seed are byte-identical, for any
@@ -24,9 +28,8 @@ import numpy as np
 from . import __version__
 from .evaluation import (CampaignReport, aligned_estimates, build_scene,
                          run_campaign, run_trial)
-from .scenario import (SCHEMES, SOLVERS, ConfigError, SceneConfig,
-                       apply_overrides, config_from_dict, config_to_dict,
-                       load_config)
+from .scenario import (ConfigError, SceneConfig, apply_overrides,
+                       config_from_dict, config_to_dict, load_config)
 
 REPORT_COLUMNS = ("scheme", "K", "snr_db", "L", "trials",
                   "mean_error_m", "std_error_m", "success_rate", "failures")
@@ -222,16 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", parents=[common],
                          help="run one trial and write a scatter table")
-    sim.add_argument("--K", dest="targets_k", type=int, metavar="K",
-                     help="number of targets")
-    sim.add_argument("--scheme", choices=SCHEMES)
-    sim.add_argument("--solver", choices=SOLVERS)
     sim.add_argument("--dump-measurements", action="store_true",
                      help="also write the raw measurement vector(s)")
 
     sweep = sub.add_parser("sweep", parents=[common],
                            help="Monte-Carlo campaign over K and SNR")
-    sweep.add_argument("--solver", choices=SOLVERS)
     sweep.add_argument("--K-list", default="2,4,6,8,10", metavar="K1,K2,...")
     sweep.add_argument("--snr-list", default="20", metavar="DB1,DB2,...")
     sweep.add_argument("--trials", type=int, default=200)
@@ -243,16 +241,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_config(args, manifest: dict | None) -> SceneConfig:
-    """The config file or the manifest's config, then ``--set``, then flags."""
+    """The config file or the manifest's config, then ``--set``, then ``--seed``."""
     if manifest is not None:
         config = config_from_dict(manifest["config"])
     else:
         config = load_config(args.config) if args.config else SceneConfig()
     if args.overrides:
         config = apply_overrides(config, args.overrides)
-    return dataclasses.replace(config, **{  # each flag's dest is its config key
-        key: getattr(args, key) for key in ("seed", "targets_k", "scheme", "solver")
-        if getattr(args, key, None) is not None})
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
+    return config
 
 
 def main(argv=None) -> int:

@@ -117,22 +117,21 @@ def _min_cost_matching(cost: np.ndarray) -> list[int]:
     ``linear_sum_assignment``, so both return the same matching.  Each row
     joins by a Dijkstra search over reduced costs ``cost - u - v`` that
     ends at the first free column; among equal path costs a free column
-    wins.  A row whose first minimum is a free column with ``v = 0``, while
-    no ``v`` is positive, joins at once: the search would stop there after
-    one step.  Raises ``ValueError`` with scipy's messages on a NaN entry
-    or when no finite matching exists.
+    wins.  A row whose first minimum is a free column with ``v = 0`` joins
+    at once: searches only lower ``v``, so its search would stop there
+    after one step.  Raises ``ValueError`` with scipy's messages on a NaN
+    entry or when no finite matching exists.
     """
     n = len(cost)
     first = cost.argmin(axis=1).tolist()
     cost = cost.tolist()
     u, v = [0.0] * n, [0.0] * n
     col4row, row4col = [-1] * n, [-1] * n
-    v_max = 0.0
     for cur, j in enumerate(first):
         low = cost[cur][j]  # NaN if the row holds one: argmin returns it
         if low != low:
             raise ValueError("matrix contains invalid numeric entries")
-        if row4col[j] < 0 and v[j] == 0 and v_max <= 0 and low < math.inf:
+        if row4col[j] < 0 and v[j] == 0 and low < math.inf:
             u[cur], row4col[j], col4row[cur] = low, cur, j
             continue
         dist, path = [math.inf] * n, [-1] * n  # path cost, last row per column
@@ -163,7 +162,6 @@ def _min_cost_matching(cost: np.ndarray) -> list[int]:
             u[i] += min_val - dist[col4row[i]]
         for t in cols:
             v[t] -= min_val - dist[t]
-        v_max = max(v)
         while True:  # augment along the path back to row cur
             i = path[j]
             row4col[j] = i

@@ -56,8 +56,8 @@ def test_fingerprint_csv_roundtrips_exactly(tmp_path):
 
 
 def test_simulate_scatter_has_one_row_per_target(tmp_path):
-    assert run_cli(["simulate", "--K", "8", "--scheme", "cocsm",
-                    "--out-dir", str(tmp_path)]) == 0
+    assert run_cli(["simulate", "--set", "targets_k=8", "--set",
+                    "scheme=cocsm", "--out-dir", str(tmp_path)]) == 0
     lines = read(tmp_path / "scatter.csv").decode().strip().splitlines()
     assert lines[0] == "trial,scheme,true_x,true_y,est_x,est_y"
     assert len(lines) == 9
@@ -69,7 +69,8 @@ def test_simulate_scatter_has_one_row_per_target(tmp_path):
 
 def test_simulate_is_reproducible(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    args = ["simulate", "--K", "4", "--scheme", "csm", "--seed", "123"]
+    args = ["simulate", "--set", "targets_k=4", "--set", "scheme=csm",
+            "--seed", "123"]
     run_cli(args + ["--out-dir", str(a)])
     run_cli(args + ["--out-dir", str(b)])
     assert read(a / "scatter.csv") == read(b / "scatter.csv")
@@ -77,14 +78,14 @@ def test_simulate_is_reproducible(tmp_path):
 
 
 def test_simulate_baseline_scheme_rows(tmp_path):
-    assert run_cli(["simulate", "--K", "8", "--scheme", "rss_baseline",
-                    "--out-dir", str(tmp_path)]) == 0
+    assert run_cli(["simulate", "--set", "targets_k=8", "--set",
+                    "scheme=rss_baseline", "--out-dir", str(tmp_path)]) == 0
     lines = read(tmp_path / "scatter.csv").decode().strip().splitlines()
     assert len(lines) == 9
 
 
 def test_simulate_dumps_measurement_vector(tmp_path):
-    assert run_cli(["simulate", "--K", "2", "--scheme", "csm",
+    assert run_cli(["simulate", "--set", "targets_k=2", "--set", "scheme=csm",
                     "--dump-measurements", "--out-dir", str(tmp_path)]) == 0
     lines = read(tmp_path / "measurements.csv").decode().strip().splitlines()
     header = lines[0].split(",")
@@ -95,8 +96,9 @@ def test_simulate_dumps_measurement_vector(tmp_path):
 
 
 def test_simulate_baseline_dumps_one_power_vector_per_target(tmp_path):
-    assert run_cli(["simulate", "--K", "3", "--scheme", "rss_baseline",
-                    "--dump-measurements", "--out-dir", str(tmp_path)]) == 0
+    assert run_cli(["simulate", "--set", "targets_k=3", "--set",
+                    "scheme=rss_baseline", "--dump-measurements",
+                    "--out-dir", str(tmp_path)]) == 0
     lines = read(tmp_path / "measurements.csv").decode().strip().splitlines()
     assert len(lines[0].split(",")) == 3 + 16
     assert len(lines) == 1 + 3
@@ -169,12 +171,10 @@ def exit_code(argv):
         return exc.code
 
 
-@pytest.mark.parametrize("extra", [["--set", "solver=ista"],
-                                   ["--solver", "ista"]])
-def test_sweep_rejects_the_ista_solver(tmp_path, capsys, extra):
+def test_sweep_rejects_the_ista_solver(tmp_path, capsys):
     out = tmp_path / "out"
-    assert exit_code(["sweep", *extra, "--K-list", "2", "--trials", "1",
-                      "--out-dir", str(out)]) == 2
+    assert exit_code(["sweep", "--set", "solver=ista", "--K-list", "2",
+                      "--trials", "1", "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert "omp" in err and "nnls" in err
     assert not out.exists()
@@ -250,13 +250,14 @@ def test_sweep_from_manifest_rejects_an_empty_sweep_block(tmp_path, capsys):
 
 
 def test_baseline_subcommand_is_gone(tmp_path, capsys):
-    assert exit_code(["baseline", "--K", "2", "--out-dir", str(tmp_path)]) == 2
+    assert exit_code(["baseline", "--set", "targets_k=2",
+                      "--out-dir", str(tmp_path)]) == 2
     assert "simulate" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_with_nnls_solver_reruns_byte_identical(tmp_path):
-    args = ["sweep", "--solver", "nnls", "--K-list", "2,4", "--snr-list",
+    args = ["sweep", "--set", "solver=nnls", "--K-list", "2,4", "--snr-list",
             "25", "--trials", "2", "--set", "snapshots=50"]
     assert run_cli(args + ["--out-dir", str(tmp_path / "a")]) == 0
     assert run_cli(args + ["--jobs", "2", "--out-dir", str(tmp_path / "b")]) == 0
@@ -270,8 +271,9 @@ def test_every_command_writes_verifying_manifest(tmp_path):
     import hashlib
     cases = [
         ("fp", ["fingerprint"]),
-        ("sim", ["simulate", "--K", "2", "--scheme", "csm"]),
-        ("base", ["simulate", "--K", "2", "--scheme", "rss_baseline"]),
+        ("sim", ["simulate", "--set", "targets_k=2", "--set", "scheme=csm"]),
+        ("base", ["simulate", "--set", "targets_k=2",
+                  "--set", "scheme=rss_baseline"]),
         ("sweep", ["sweep", "--K-list", "2", "--snr-list", "20", "--trials", "1"]),
     ]
     for name, args in cases:
@@ -314,7 +316,7 @@ def test_invalid_config_value_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [["sweep", "--K-list", "2,150"],
-                                  ["simulate", "--K", "150"]])
+                                  ["simulate", "--set", "targets_k=150"]])
 def test_target_count_beyond_grid_exits_2(tmp_path, capsys, args):
     assert run_cli(args + ["--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -411,10 +413,23 @@ def test_jobs_is_a_sweep_option_only(tmp_path, capsys, sub):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [["simulate", "--K", "4"],
+                                  ["simulate", "--scheme", "csm"],
+                                  ["simulate", "--solver", "nnls"],
+                                  ["sweep", "--solver", "nnls"]])
+def test_config_keys_are_set_only_by_set(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert exit_code(argv + ["--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[1]}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_simulate_without_received_signal_exits_0(tmp_path, capsys):
     # a 5 degree field of view leaves this seed's target unseen by every
     # anchor: the realized SNR is -inf, written as "-inf", not a crash
-    assert run_cli(["simulate", "--K", "1", "--seed", "1",
+    assert run_cli(["simulate", "--set", "targets_k=1", "--seed", "1",
                     "--set", "pd.fov=5", "--set", "noise_variance=1e-9",
                     "--out-dir", str(tmp_path)]) == 0
     assert "Traceback" not in capsys.readouterr().err
@@ -465,7 +480,8 @@ def test_dead_cell_sweep_writes_standard_json(tmp_path, monkeypatch):
 @pytest.mark.parametrize("scheme", ["csm", "cocsm", "rss_baseline"])
 def test_dumped_measurement_is_the_trial_measurement(tmp_path, scheme):
     from vlp_sparse import SceneConfig, run_trial
-    assert run_cli(["simulate", "--K", "3", "--seed", "3", "--scheme", scheme,
+    assert run_cli(["simulate", "--set", "targets_k=3", "--seed", "3",
+                    "--set", f"scheme={scheme}",
                     "--set", "snapshots=300", "--set", "noise_variance=1e-12",
                     "--dump-measurements", "--out-dir", str(tmp_path)]) == 0
     config = SceneConfig(targets_k=3, seed=3, scheme=scheme, snapshots=300,
@@ -504,7 +520,7 @@ def test_bad_k_list_exits_2_before_the_output_directory(tmp_path, capsys):
              "targets_k: must be in [1, 100] for this grid, got 500"),
             (["sweep", "--snr-list", "nan"],
              "snr_list: must be nonempty, each a number or inf, got [nan]"),
-            (["simulate", "--K", "101"],
+            (["simulate", "--set", "targets_k=101"],
              "targets_k: must be in [1, 100] for this grid, got 101")):
         assert run_cli(argv + ["--out-dir", str(out)]) == 2, argv
         assert capsys.readouterr().err == f"error: {message}\n"

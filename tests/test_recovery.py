@@ -69,6 +69,30 @@ def least_squares_on(A, b, support):
     return x, float(np.linalg.norm(b - A[:, support] @ x))
 
 
+def near_copy_instance(a0, e, others, cols=1000):
+    """Columns ``a0``, a near copy of it, then ``others`` and zero columns
+    up to ``cols``, with a measurement that picks ``a0`` first.
+
+    The near copy leans off ``a0`` toward the unit ``e`` (orthogonal to
+    ``a0``) by angle ``t``, so after the first pick its squared unit
+    remainder is ``sin(t)^2``, a quarter of ``omp``'s rank threshold.  The
+    measurement leaves the residual ``-|a0| e / 2``: only the near copy
+    scores, with ``|a0| sin(t) / 2``.
+    """
+    rows = a0.size
+    threshold = max(rows, cols) * np.finfo(float).eps
+    t = math.asin(math.sqrt(threshold / 4))
+    scale = np.linalg.norm(a0)
+    A = np.zeros((rows, cols))
+    A[:, 0] = a0
+    A[:, 1] = math.cos(t) * a0 + math.sin(t) * scale * e
+    A[:, 2:2 + len(others)] = np.column_stack(others)
+    D = Dictionary.of(A)
+    remainder = D.gram_row(1)[1] - D.gram_row(0)[1] ** 2 / D.gram_row(0)[0]
+    assert 0 < remainder < threshold
+    return A, a0 - 0.5 * scale * e
+
+
 def test_omp_identity_dictionary():
     A = np.eye(5)
     sol = omp(A, A[:, 3], 1)
@@ -145,6 +169,13 @@ def test_omp_skips_rank_deficient_candidates():
     sol = omp(A, A[:, 0], 2)
     assert sol.support[0] == 0
     assert sol.support[1] != 1  # the duplicate never joins the support
+    # a near copy leaning toward e, orthogonal to every base column: after
+    # the first pick only it scores, and its remainder is below the threshold
+    e = np.linalg.qr(base, mode="complete")[0][:, 3]
+    A, b = near_copy_instance(base[:, 0], e, [base[:, 1], base[:, 2]])
+    sol = omp(A, b, 2)
+    assert sol.support[0] == 0
+    assert sol.support[1] != 1
 
 
 def test_omp_tie_breaks_toward_lowest_index():
@@ -356,6 +387,12 @@ def test_omp_skips_a_near_duplicate_and_keeps_an_independent_column():
     assert sol.support.tolist() == _reference_omp(A, a0, 2).support.tolist()
     assert least_squares_on(A, a0, sol.support)[0] == pytest.approx([1.0, 0.0],
                                                                    abs=1e-12)
+    # a near copy leaning toward e in rows 0..2: the independent column
+    # still scores exactly 0, and the near copy is tried and rejected
+    e = np.zeros(rows)
+    e[:3] = np.cross(a0[:3], [1.0, 0.0, 0.0])
+    A, b = near_copy_instance(a0, e / np.linalg.norm(e), [independent])
+    assert omp(A, b, 2).support.tolist() == [0, 2]
 
 
 @pytest.fixture(scope="module")
