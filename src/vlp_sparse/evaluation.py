@@ -391,12 +391,12 @@ def run_campaign(config: SceneConfig, k_list, snr_list, trials: int,
     pair, goes to share ``u % jobs``: the caller runs share 0 and forked
     children the rest (the caller runs all where ``os.fork`` does not exist).
 
-    Raises :class:`ConfigError` before any trial runs on ``trials`` or
-    ``jobs`` that is no integer >= 1, a ``k_list`` that is no nonempty list
-    of integers, an ``snr_list`` that is no nonempty list of numbers or of
-    strings that ``float`` reads (a manifest writes inf as "inf"), a NaN or
-    -inf SNR (``inf`` is noiseless), a value repeated in either list after
-    that conversion (20 and "20" repeat), or a K outside 1..N/4.
+    Raises :class:`ConfigError` before any trial runs on a nonzero
+    ``config.noise_variance`` (the SNRs set the noise), ``trials`` or ``jobs``
+    no integer >= 1, a ``k_list`` no nonempty list of integers, an
+    ``snr_list`` no nonempty list of numbers or strings that ``float`` reads
+    (a manifest writes inf as "inf"), a NaN or -inf SNR (``inf`` is noiseless),
+    a value repeated in either list after that conversion, or a K beyond N/4.
     """
     snrs = ([_as_number(s) for s in snr_list]
             if isinstance(snr_list, (list, tuple)) else [None])
@@ -406,7 +406,9 @@ def run_campaign(config: SceneConfig, k_list, snr_list, trials: int,
             ("k_list", k_list, isinstance(k_list, (list, tuple))
              and all(map(_is_integer, k_list)), "must be a list of integers"),
             ("snr_list", snr_list, None not in snrs,
-             "must be a list of numbers or strings that read as one")):
+             "must be a list of numbers or strings that read as one"),
+            ("noise_variance", config.noise_variance, config.noise_variance == 0,
+             "must be 0, as snr_list sets each cell's noise")):
         if not valid:
             raise ConfigError(f"{key}: {rule}, got {value!r}")
     k_list, snr_list = [int(k) for k in k_list], snrs

@@ -31,9 +31,10 @@ import numpy as np
 
 from .channel import GainModel, PairIndexMap
 from .measurement import CORRELATION, POWER, MeasurementVector, remove_noise_floor
-from .scenario import MAX_SCENE_ENTRIES, SOLVERS, GridModel
+from .scenario import SOLVERS, GridModel
 
 _EPS = np.finfo(float).eps
+GRAM_CACHE_ENTRIES = 2 ** 20  # Gram-row entries a Dictionary keeps: 8 MiB
 
 
 @dataclass(frozen=True)
@@ -85,16 +86,15 @@ class Dictionary:
         read-only.
 
         Computed on first use and kept while the kept rows hold at most
-        ``MAX_SCENE_ENTRIES`` entries, the bound of a scene array; a row
-        past that is recomputed on each use, the same way, so a solve does
-        not depend on what is kept.
+        ``GRAM_CACHE_ENTRIES`` entries; a row past that is recomputed on
+        each use, the same way, so a solve does not depend on what is kept.
         """
         row = self._gram_rows.get(j)
         if row is None:
             row = self.matrix.T @ (self.matrix[:, j] * self.inv_norms[j])
             row *= self.inv_norms
             row.setflags(write=False)
-            if (len(self._gram_rows) + 1) * row.size <= MAX_SCENE_ENTRIES:
+            if (len(self._gram_rows) + 1) * row.size <= GRAM_CACHE_ENTRIES:
                 self._gram_rows[j] = row
         return row
 

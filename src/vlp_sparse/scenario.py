@@ -103,11 +103,14 @@ class SceneConfig:
 
     def __post_init__(self) -> None:
         _require_field_types(self)
-        _require(len(self.room_size) == 3
-                 and all(_is_real(s) and 0 < s <= sys.float_info.max
-                         for s in self.room_size),
+        room = self.room_size  # a list, a tuple or a 1-d array
+        _require(isinstance(room, (list, tuple, np.ndarray))
+                 and getattr(room, "ndim", 1) == 1 and len(room) == 3
+                 and all(_is_real(s) and 0 < s <= sys.float_info.max for s in room),
                  "room_size", "must be three finite positive extents (x, y, z)")
-        object.__setattr__(self, "room_size", tuple(float(s) for s in self.room_size))
+        object.__setattr__(self, "room_size", tuple(float(s) for s in room))
+        _require(isinstance(self.pd, PdOptics), "pd",
+                 f"must be a PdOptics (an object in JSON), got {self.pd!r}")
         _require(self.grid_pitch > 0, "grid_pitch", "must be > 0")
         _require(self.led_rows >= 1 and self.led_cols >= 1,
                  "led_rows/led_cols", "must each be >= 1")
@@ -236,36 +239,27 @@ def sample_targets(grid: GridModel, k: int, on_grid: bool,
 # --- configuration I/O ----------------------------------------------------
 
 def config_to_dict(config: SceneConfig) -> dict:
-    d = dataclasses.asdict(config)
-    d["room_size"] = list(d["room_size"])
-    return d
+    return dataclasses.asdict(config)
 
 
-def config_from_dict(data: dict) -> SceneConfig:
-    fields = {f.name: f.type for f in dataclasses.fields(SceneConfig)}
-    unknown = set(data) - set(fields)
+def _from_dict(cls, data: dict, what: str):
+    """``cls`` from JSON ``data`` that names only its fields; ``cls`` judges them."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(types)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     data = dict(data)  # the caller's dict stays as it was
     for key, value in data.items():
         # a JSON number such as 1e4 names an integer when its value is whole
-        if fields[key] == "int" and isinstance(value, float) and value.is_integer():
+        if types[key] == "int" and isinstance(value, float) and value.is_integer():
             data[key] = int(value)
-    if "room_size" in data:
-        _require(isinstance(data["room_size"], (list, tuple))
-                 and all(_is_real(v) for v in data["room_size"]),
-                 "room_size", "must be a list of three numbers")
-    if "pd" in data:
-        pd = data["pd"]
-        if isinstance(pd, dict):
-            pd_known = {f.name for f in dataclasses.fields(PdOptics)}
-            pd_unknown = set(pd) - pd_known
-            if pd_unknown:
-                raise ConfigError(f"unknown pd keys: {sorted(pd_unknown)}")
-            data["pd"] = PdOptics(**pd)
-        elif not isinstance(pd, PdOptics):
-            raise ConfigError("pd: must be an object with PdOptics fields")
-    return SceneConfig(**data)
+        elif types[key] == "PdOptics" and isinstance(value, dict):
+            data[key] = _from_dict(PdOptics, value, key)
+    return cls(**data)
+
+
+def config_from_dict(data: dict) -> SceneConfig:
+    return _from_dict(SceneConfig, data, "config")
 
 
 def load_config(path: str) -> SceneConfig:
@@ -296,7 +290,9 @@ def apply_overrides(config: SceneConfig, assignments: Sequence[str]) -> SceneCon
             raise ConfigError(f"override '{item}' is not of the form key=value")
         value = _parse_value(raw)
         if key.startswith("pd."):
-            data.setdefault("pd", {})[key[3:]] = value
+            _require(isinstance(data["pd"], dict), "pd",
+                     f"must be an object to take {key}")
+            data["pd"][key[3:]] = value
         else:
             data[key] = value
     return config_from_dict(data)

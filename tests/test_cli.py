@@ -520,6 +520,9 @@ def test_bad_k_list_exits_2_before_the_output_directory(tmp_path, capsys):
              "targets_k: must be in [1, 100] for this grid, got 500"),
             (["sweep", "--snr-list", "nan"],
              "snr_list: must be nonempty, each a number or inf, got [nan]"),
+            (["sweep", "--set", "noise_variance=1e-9"],
+             "noise_variance: must be 0, as snr_list sets each cell's noise, "
+             "got 1e-09"),
             (["simulate", "--set", "targets_k=101"],
              "targets_k: must be in [1, 100] for this grid, got 101")):
         assert run_cli(argv + ["--out-dir", str(out)]) == 2, argv

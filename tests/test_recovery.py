@@ -346,12 +346,29 @@ def test_omp_supports_do_not_depend_on_the_gram_row_cache(scene, monkeypatch):
     assert len(scene.corr_dict._gram_rows) > 1
     cold = [omp(Dictionary.of(data.matrix), b, k).support.tolist()
             for data, b, k in instances]
-    monkeypatch.setattr(recovery, "MAX_SCENE_ENTRIES", scene.grid.n)
+    monkeypatch.setattr(recovery, "GRAM_CACHE_ENTRIES", scene.grid.n)
     capped = {id(data): Dictionary.of(data.matrix) for data, _, _ in instances}
     one_row = [omp(capped[id(data)], b, k).support.tolist()
                for data, b, k in instances]
     assert [len(data._gram_rows) for data in capped.values()] == [1, 1]
     assert warm == cold == one_row
+
+
+def test_gram_row_cache_keeps_no_more_than_its_budget(scene):
+    cols = 2000  # a full unit Gram of cols^2 entries is beyond the budget
+    assert cols ** 2 > recovery.GRAM_CACHE_ENTRIES
+    data = Dictionary.of(np.random.default_rng(5).standard_normal((3, cols)))
+    rows = [data.gram_row(j) for j in range(cols)]
+    assert len(data._gram_rows) == recovery.GRAM_CACHE_ENTRIES // cols
+    assert sum(row.size for row in data._gram_rows.values()) \
+        <= recovery.GRAM_CACHE_ENTRIES
+    for j in (0, cols - 1):  # a kept row and one past the budget
+        np.testing.assert_array_equal(data.gram_row(j), rows[j])
+    for data in (Dictionary.of(scene.power_dict.matrix),
+                 Dictionary.of(scene.corr_dict.matrix)):
+        for j in range(scene.grid.n):  # the default scene keeps every row
+            data.gram_row(j)
+        assert len(data._gram_rows) == scene.grid.n == 400
 
 
 def test_omp_rank_rule_is_on_the_squared_unit_remainder():

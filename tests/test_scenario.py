@@ -131,6 +131,10 @@ def test_sampling_is_deterministic_per_seed():
     ("room_size", (10 ** 400, 4.0, 3.0)),
     ("snapshots", 2 ** 63),
     ("snapshots", 10 ** 19),
+    ("room_size", 5),
+    ("room_size", None),
+    ("pd", 5),
+    ("pd", {"fov": 60}),
 ])
 def test_config_invariants_rejected(field, value):
     with pytest.raises(ConfigError, match=f"^{field}: "):
@@ -154,6 +158,7 @@ def test_scene_at_the_size_bound_accepted():
 def test_room_size_is_kept_as_float_extents():
     assert SceneConfig(room_size=[4, 4, 3]).room_size == (4.0, 4.0, 3.0)
     assert SceneConfig(room_size=[4, 4, 3]) == SceneConfig()
+    assert SceneConfig(room_size=np.array([4, 4, 3])) == SceneConfig()
 
 
 @pytest.mark.parametrize("field,value,allowed", [("solver", "ista", SOLVERS),
@@ -209,6 +214,13 @@ def test_overrides_reach_nested_optics():
 def test_override_requires_key_value_form():
     with pytest.raises(ConfigError, match="key=value"):
         apply_overrides(SceneConfig(), ["seed"])
+
+
+def test_optics_override_needs_an_optics_object():
+    with pytest.raises(ConfigError, match="^pd: must be an object to take pd.fov"):
+        apply_overrides(SceneConfig(), ["pd=5", "pd.fov=60"])
+    assert apply_overrides(SceneConfig(), ['pd={"fov": 50}', "pd.fov=60"]) \
+        == SceneConfig(pd=PdOptics(fov=60))
 
 
 def test_realized_snr_db_inverts_snr_to_noise_variance():
