@@ -10,6 +10,8 @@ digests.  Reruns with the same config and seed are byte-identical, for any
 ``--jobs``; volatile values (wall-clock runtimes, timestamps) never enter
 the CSV/JSON result files, only the manifest.  Each command returns its
 written paths, its manifest extras and its failure message (None, or exit 1).
+Exit 2 means an input was rejected before anything ran or was written; exit 1
+that a command ran and failed (its manifest still written), or an I/O error.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from . import __version__
 from .evaluation import (CampaignReport, aligned_estimates, build_scene,
                          run_campaign, run_trial)
 from .scenario import (ConfigError, SceneConfig, apply_overrides,
-                       config_from_dict, config_to_dict, load_config)
+                       config_from_dict, config_to_dict, load_config, load_json)
 
 REPORT_COLUMNS = ("scheme", "K", "snr_db", "L", "trials",
                   "mean_error_m", "std_error_m", "success_rate", "failures")
@@ -39,6 +41,12 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
+
+
+def _write_csv(path: str, rows) -> None:
+    """One line per row (a header is a row), every cell by ``_fmt``."""
+    with open(path, "w") as fh:
+        fh.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _write_json(path: str, obj) -> None:
@@ -53,10 +61,6 @@ def _sha256(path: str) -> str:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
     return digest.hexdigest()
-
-
-def _write_matrix_csv(path: str, matrix: np.ndarray) -> None:
-    np.savetxt(path, np.atleast_2d(matrix), delimiter=",", fmt="%.17g")
 
 
 def _jsonable(value):
@@ -81,7 +85,7 @@ def cmd_fingerprint(config: SceneConfig, out_dir: str):
     os.makedirs(out_dir, exist_ok=True)  # only now: a rejected input leaves none
     for name, matrix in matrices.items():
         path = os.path.join(out_dir, f"{name}.csv")
-        _write_matrix_csv(path, matrix)
+        _write_csv(path, matrix.tolist())
         written.append(path)
     meta = {
         "config": config_to_dict(config),
@@ -102,21 +106,17 @@ def cmd_simulate(config: SceneConfig, out_dir: str,
                  dump_measurements: bool = False):
     """Run one trial of the configured scheme and write scatter + trial files."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    results = run_trial(config, rng, schemes=[config.scheme])
-    result = results[config.scheme]
+    result = run_trial(config, rng, schemes=[config.scheme])[config.scheme]
+    os.makedirs(out_dir, exist_ok=True)  # the manifest goes here either way
     if result.failed:
-        raise ConfigError(f"trial failed for scheme '{config.scheme}': "
-                          f"{result.failure}")
+        return [], {}, (f"trial failed for scheme '{config.scheme}': "
+                        f"{result.failure}")
 
-    os.makedirs(out_dir, exist_ok=True)
     scatter_path = os.path.join(out_dir, "scatter.csv")
     aligned = aligned_estimates(result.est_positions, result.true_positions)
-    with open(scatter_path, "w") as fh:
-        fh.write("trial,scheme,true_x,true_y,est_x,est_y\n")
-        for truth, est in zip(result.true_positions, aligned):
-            fh.write(",".join(["0", config.scheme, _fmt(float(truth[0])),
-                               _fmt(float(truth[1])), _fmt(float(est[0])),
-                               _fmt(float(est[1]))]) + "\n")
+    _write_csv(scatter_path, [["trial", "scheme", "true_x", "true_y", "est_x", "est_y"]]
+               + [[0, config.scheme, *truth, *est] for truth, est in
+                  zip(result.true_positions.tolist(), aligned.tolist())])
 
     trial_path = os.path.join(out_dir, "trial.json")
     _write_json(trial_path, {
@@ -137,11 +137,8 @@ def cmd_simulate(config: SceneConfig, out_dir: str,
         rows = np.atleast_2d(meas.values.T)  # the baseline's: one per target
         meas_path = os.path.join(out_dir, "measurements.csv")
         header = ["model", "L", "sigma2"] + [f"v{i:03d}" for i in range(rows.shape[1])]
-        lead = [meas.model, str(meas.snapshots), _fmt(meas.noise_variance)]
-        with open(meas_path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(lead + [_fmt(float(v)) for v in row]) + "\n")
+        lead = [meas.model, meas.snapshots, meas.noise_variance]
+        _write_csv(meas_path, [header] + [lead + row for row in rows.tolist()])
         written.append(meas_path)
     return written, {}, None
 
@@ -149,10 +146,8 @@ def cmd_simulate(config: SceneConfig, out_dir: str,
 def _write_report(report: CampaignReport, out_dir: str) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "report.csv")
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(REPORT_COLUMNS) + "\n")
-        for row in report.rows:
-            fh.write(",".join(_fmt(row[c]) for c in REPORT_COLUMNS) + "\n")
+    _write_csv(csv_path, [REPORT_COLUMNS]
+               + [[row[c] for c in REPORT_COLUMNS] for row in report.rows])
     json_path = os.path.join(out_dir, "report.json")
     _write_json(json_path, {
         "config": config_to_dict(report.config),
@@ -211,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="KEY=VALUE",
                         help="override a config key (pd.* reaches the optics)")
     common.add_argument("--seed", type=int, help="override the config seed")
-    common.add_argument("--out-dir", default=None,
-                        help="output directory (default: $VLP_SPARSE_OUT or .)")
+    common.add_argument("--out-dir", default=".",
+                        help="output directory (default: .)")
 
     parser = argparse.ArgumentParser(
         prog="vlp-sparse",
@@ -256,18 +251,13 @@ def _effective_config(args, manifest: dict | None) -> SceneConfig:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out_dir = args.out_dir or os.environ.get("VLP_SPARSE_OUT") or "."
     try:
         manifest = None
         if getattr(args, "from_manifest", None):
-            with open(args.from_manifest) as fh:
-                manifest = json.load(fh)
+            manifest = load_json(args.from_manifest)
             if not isinstance(manifest, dict) \
                     or "config" not in manifest or "sweep" not in manifest:
                 raise ConfigError(f"{args.from_manifest}: not a sweep manifest")
-            if not isinstance(manifest["config"], dict):
-                raise ConfigError(f"{args.from_manifest}: the config must be an "
-                                  f"object, got {manifest['config']!r}")
             for key in ("k_list", "snr_list", "trials"):
                 if not isinstance(manifest["sweep"], dict) \
                         or key not in manifest["sweep"]:
@@ -282,15 +272,15 @@ def main(argv=None) -> int:
 
         started = datetime.now(timezone.utc).isoformat()
         if args.command == "fingerprint":
-            written, extras, failure = cmd_fingerprint(config, out_dir)
+            written, extras, failure = cmd_fingerprint(config, args.out_dir)
         elif args.command == "simulate":
-            written, extras, failure = cmd_simulate(config, out_dir,
+            written, extras, failure = cmd_simulate(config, args.out_dir,
                                                     args.dump_measurements)
         else:
             written, extras, failure = cmd_sweep(
-                config, out_dir, axes["k_list"], axes["snr_list"],
+                config, args.out_dir, axes["k_list"], axes["snr_list"],
                 axes["trials"], jobs=args.jobs)
-        written.append(_write_manifest(out_dir, args.command, config, written,
+        written.append(_write_manifest(args.out_dir, args.command, config, written,
                                        started, **extras))
         for path in written:
             print(path)
@@ -301,7 +291,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

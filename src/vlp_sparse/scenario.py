@@ -244,6 +244,7 @@ def config_to_dict(config: SceneConfig) -> dict:
 
 def _from_dict(cls, data: dict, what: str):
     """``cls`` from JSON ``data`` that names only its fields; ``cls`` judges them."""
+    _require(isinstance(data, dict), what, f"must be an object, got {data!r}")
     types = {f.name: f.type for f in dataclasses.fields(cls)}
     unknown = set(data) - set(types)
     if unknown:
@@ -262,16 +263,18 @@ def config_from_dict(data: dict) -> SceneConfig:
     return _from_dict(SceneConfig, data, "config")
 
 
-def load_config(path: str) -> SceneConfig:
-    """Load a JSON config file whose keys are SceneConfig field names."""
+def load_json(path: str):
+    """The JSON value in file ``path``; what is not JSON raises ConfigError."""
     with open(path) as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except ValueError as exc:  # a JSONDecodeError, or bytes that are no text
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    return config_from_dict(data)
+
+
+def load_config(path: str) -> SceneConfig:
+    """Load a JSON config file whose keys are SceneConfig field names."""
+    return config_from_dict(load_json(path))
 
 
 def _parse_value(text: str):

@@ -224,6 +224,7 @@ def test_sweep_from_manifest_names_a_missing_sweep_key(tmp_path, capsys, missing
     ({"sweep": {"trials": True}}, "trials"),
     ({"sweep": {"k_list": [2, 2]}}, "k_list"),
     ({"sweep": {"snr_list": ["inf", "inf"]}}, "snr_list"),
+    ({"config": [1]}, "config: must be an object, got [1]"),
 ])
 def test_sweep_from_manifest_rejects_malformed_input(tmp_path, capsys, manifest, key):
     if isinstance(manifest, dict):  # replace one part of a valid manifest
@@ -238,6 +239,19 @@ def test_sweep_from_manifest_rejects_malformed_input(tmp_path, capsys, manifest,
                     "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [b'{"config": {}, "sweep": ', b"\xff\xfe"])
+def test_sweep_from_manifest_that_is_not_json_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--from-manifest", str(path),
+                    "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not valid JSON (")
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -339,6 +353,15 @@ def test_bad_config_file_reports_location(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+def test_missing_config_file_exits_1(tmp_path, capsys):
+    missing, out = tmp_path / "missing.json", tmp_path / "out"
+    assert run_cli(["fingerprint", "--config", str(missing),
+                    "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sub", ["fingerprint", "simulate", "sweep"])
 def test_help_exists_for_every_subcommand(sub, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -352,13 +375,6 @@ def test_invalid_flag_exits_2_without_outputs(tmp_path, capsys):
         main(["simulate", "--nonsense", "--out-dir", str(tmp_path)])
     assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
-
-
-def test_out_dir_env_default(tmp_path, monkeypatch):
-    target = tmp_path / "from_env"
-    monkeypatch.setenv("VLP_SPARSE_OUT", str(target))
-    assert run_cli(["fingerprint"]) == 0
-    assert (target / "J.csv").exists()
 
 
 def test_config_file_with_overrides(tmp_path):
@@ -435,6 +451,19 @@ def test_simulate_without_received_signal_exits_0(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     trial = json.loads(read(tmp_path / "trial.json"))
     assert trial["snr_db"] == "-inf"
+
+
+def test_failed_simulate_trial_writes_its_manifest_and_exits_1(tmp_path, capsys):
+    # without noise, the target that no anchor sees leaves a zero measurement
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--set", "targets_k=1", "--seed", "1",
+                    "--set", "pd.fov=5", "--out-dir", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert err == ("error: trial failed for scheme 'cocsm': ValueError: zero "
+                   "measurement: support of size k is undefined\n")
+    assert stdout == f"{out / 'manifest.json'}\n"
+    assert os.listdir(out) == ["manifest.json"]
+    assert json.loads(read(out / "manifest.json"))["outputs"] == []
 
 
 def strict_json(path):

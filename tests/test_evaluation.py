@@ -79,6 +79,16 @@ def test_match_is_symmetric_and_permutation_invariant():
             == pytest.approx(delta, rel=1e-12)
 
 
+def test_match_rejects_points_that_are_not_planar():
+    with pytest.raises(ValueError, match=r"^est: expected \(K, 2\) positions"):
+        match_and_error(np.zeros((2, 3)), np.zeros((2, 2)))
+
+
+def test_match_rejects_a_matching_of_infinite_cost():
+    with pytest.raises(ValueError, match="^cost matrix is infeasible$"):
+        match_and_error([[math.inf, 0.0]], [[0.0, 0.0]])
+
+
 def test_match_zero_iff_equal_multisets():
     rng = np.random.default_rng(1)
     pts = rng.uniform(0, 4, (5, 2))

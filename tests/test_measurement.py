@@ -45,6 +45,14 @@ def test_indicator_rejects_duplicates_and_range():
         indicator_from_cells([1, 1], 4)
     with pytest.raises(ValueError, match="range"):
         indicator_from_cells([4], 4)
+    with pytest.raises(ValueError, match="at least one occupied cell"):
+        indicator_from_cells([], 4)
+
+
+def test_noise_floor_removal_needs_a_matching_pair_map():
+    meas = MeasurementVector(np.ones(3), "correlation", 0.5, 0)
+    with pytest.raises(ValueError, match="pair map does not match"):
+        remove_noise_floor(meas, PairIndexMap.for_anchor_count(3))
 
 
 def test_ideal_power_single_target_is_fingerprint_column(scene):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +121,19 @@ def test_omp_rejects_zero_measurement():
 def test_omp_rejects_all_zero_dictionary():
     with pytest.raises(ValueError, match="nonzero column"):
         omp(np.zeros((3, 4)), np.ones(3), 1)
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_omp_rejects_k_out_of_range(k):
+    message = f"k={k} must be in [1, min(rows, cols)=3]"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        omp(np.eye(3, 5), np.ones(3), k)
+
+
+def test_omp_rejects_fewer_independent_columns_than_k():
+    A = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="fewer than k linearly independent columns"):
+        omp(A, np.array([1.0, 2.0, 0.0]), 2)
 
 
 def test_omp_selection_is_scale_invariant():
@@ -510,6 +524,28 @@ def test_nnls_top_k_tie_breaks_toward_lowest_index():
 def test_nnls_top_k_rejects_zero_measurement():
     with pytest.raises(ValueError, match="zero measurement"):
         nnls_top_k(np.eye(4), np.zeros(4), 1)
+
+
+@pytest.mark.parametrize("k", [0, 5])
+def test_nnls_top_k_rejects_k_out_of_range(k):
+    with pytest.raises(ValueError, match=rf"^k={k} must be in \[1, 4\]"):
+        nnls_top_k(np.eye(4), np.ones(4), k)
+
+
+def test_nnls_top_k_rejects_all_zero_dictionary():
+    with pytest.raises(ValueError, match="nonzero column"):
+        nnls_top_k(np.zeros((3, 4)), np.ones(3), 1)
+
+
+def test_nnls_top_k_reports_an_unsettled_active_set(monkeypatch):
+    import scipy.optimize
+
+    def unsettled(*args, **kwargs):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(scipy.optimize, "nnls", unsettled)
+    with pytest.raises(ValueError, match="^nnls: Maximum number of iterations"):
+        nnls_top_k(np.eye(4), np.ones(4), 1)
 
 
 @pytest.mark.parametrize("k", [2, 4, 8])

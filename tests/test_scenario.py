@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +192,13 @@ def test_config_json_roundtrip(tmp_path):
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config keys"):
         config_from_dict({"room_sz": [4, 4, 3]})
+
+
+@pytest.mark.parametrize("data", [5, None, [1], "x"])
+def test_config_from_dict_rejects_a_non_object(data):
+    message = f"config: must be an object, got {data!r}"
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        config_from_dict(data)
 
 
 def test_config_from_dict_leaves_its_input_as_it_was():
