@@ -16,8 +16,7 @@ from .evaluation import (CampaignReport, Scene, TrialResult,
                          aligned_estimates, build_scene,
                          cell_quantization_floor, match_and_error,
                          rss_baseline_locate, run_campaign, run_trial)
-from .measurement import (CORRELATION, POWER, MeasurementVector,
-                          indicator_from_cells, remove_noise_floor,
+from .measurement import (indicator_from_cells, remove_noise_floor,
                           synthesize_ideal_correlation, synthesize_ideal_power,
                           synthesize_snapshot_correlation,
                           synthesize_snapshot_power)

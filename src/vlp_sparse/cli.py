@@ -133,11 +133,12 @@ def cmd_simulate(config: SceneConfig, out_dir: str,
     written = [scatter_path, trial_path]
 
     if dump_measurements:
-        meas = result.measurement
-        rows = np.atleast_2d(meas.values.T)  # the baseline's: one per target
+        rows = np.atleast_2d(result.measurement.T)  # the baseline's: one per target
         meas_path = os.path.join(out_dir, "measurements.csv")
         header = ["model", "L", "sigma2"] + [f"v{i:03d}" for i in range(rows.shape[1])]
-        lead = [meas.model, meas.snapshots, meas.noise_variance]
+        # simulate passes no snr_db: the trial's noise is the config's
+        lead = ["correlation" if config.scheme == "cocsm" else "power",
+                config.snapshots, config.noise_variance]
         _write_csv(meas_path, [header] + [lead + row for row in rows.tolist()])
         written.append(meas_path)
     return written, {}, None

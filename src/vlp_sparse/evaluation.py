@@ -27,8 +27,7 @@ import numpy as np
 
 from .channel import (GainModel, PairIndexMap, build_correlation_fingerprint,
                       gain_to_range, gains_to_points, lambertian_order)
-from .measurement import (POWER, MeasurementVector,
-                          indicator_from_cells, remove_noise_floor,
+from .measurement import (indicator_from_cells, remove_noise_floor,
                           synthesize_single_target_powers,
                           synthesize_snapshot_correlation)
 # unused here, but perfbench/spans.py times the power synthesis under this name
@@ -77,7 +76,7 @@ class TrialResult:
     support: np.ndarray | None
     est_positions: np.ndarray | None
     true_positions: np.ndarray
-    measurement: MeasurementVector | None
+    measurement: np.ndarray | None  # as drawn, before floor removal
 
     @property
     def failed(self) -> bool:
@@ -299,23 +298,23 @@ def run_trial(config: SceneConfig, rng: np.random.Generator,
                 corr = synthesize_snapshot_correlation(
                     target_gains, noise_variance, config.snapshots, seeds[1],
                     np.random.default_rng(seeds[2]), scene.pairs)
+                b = remove_noise_floor(corr, noise_variance, scene.pairs)
             if scheme == "csm":  # the anchor-with-itself rows are powers
-                meas = MeasurementVector(corr.values[scene.pairs.diagonal_rows],
-                                         POWER, noise_variance, config.snapshots)
-                support = locate_csm(meas, scene.power_dict, k, scene.grid,
+                diagonal = scene.pairs.diagonal_rows
+                meas = corr[diagonal]
+                support = locate_csm(b[diagonal], scene.power_dict, k, scene.grid,
                                      solver=config.solver, gain_model=scene.gain_model)
                 est = scene.grid.centers_of(support)
             elif scheme == "cocsm":
                 meas = corr
-                support = locate_cocsm(meas, scene.corr_dict, k, scene.grid, scene.pairs,
+                support = locate_cocsm(b, scene.corr_dict, k, scene.grid, scene.pairs,
                                        solver=config.solver, gain_model=scene.gain_model)
                 est = scene.grid.centers_of(support)
             elif scheme == "rss_baseline":  # each target measured alone
-                meas = MeasurementVector(synthesize_single_target_powers(
+                meas = synthesize_single_target_powers(
                     target_gains, noise_variance, config.snapshots,
-                    np.random.default_rng(seeds[3])), POWER, noise_variance,
-                    config.snapshots)
-                est = rss_baseline_locate(remove_noise_floor(meas).values,
+                    np.random.default_rng(seeds[3]))
+                est = rss_baseline_locate(remove_noise_floor(meas, noise_variance),
                                           scene.lateration)
                 support = np.sort(scene.grid.cell_of(est))
             else:

@@ -29,7 +29,6 @@ power and a correlation draw from one seed see the same signs; a live
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,23 +49,6 @@ _EXPLICIT_MAX_SNAPSHOTS = 256
 # 16 were within noise at 4096 and 8192, so the smaller temporaries win)
 _GRAM_BLOCK_WORDS = 4096
 
-POWER = "power"
-CORRELATION = "correlation"
-
-
-@dataclass(frozen=True)
-class MeasurementVector:
-    """A synthesized measurement: per-anchor powers or per-pair correlations.
-
-    ``snapshots == 0`` marks the ideal (expectation) model.
-    """
-
-    values: np.ndarray
-    model: str  # POWER or CORRELATION
-    noise_variance: float
-    snapshots: int
-
-
 def indicator_from_cells(cells, n: int) -> np.ndarray:
     """Binary length-``n`` vector with ones at the given cell indices."""
     cells = np.asarray(cells, dtype=int)
@@ -83,19 +65,18 @@ def indicator_from_cells(cells, n: int) -> np.ndarray:
 
 
 def synthesize_ideal_power(power_fp: np.ndarray, indicator: np.ndarray,
-                           noise_variance: float) -> MeasurementVector:
+                           noise_variance: float) -> np.ndarray:
     """Expectation power measurement: fingerprint columns summed plus the noise floor."""
-    values = power_fp @ indicator + noise_variance
-    return MeasurementVector(values, POWER, noise_variance, snapshots=0)
+    return power_fp @ indicator + noise_variance
 
 
 def synthesize_ideal_correlation(corr_fp: np.ndarray, indicator: np.ndarray,
                                  noise_variance: float,
-                                 pairs: PairIndexMap) -> MeasurementVector:
+                                 pairs: PairIndexMap) -> np.ndarray:
     """Expectation correlation measurement; the noise floor lands on i == j rows only."""
     values = corr_fp @ indicator
     values[pairs.diagonal_rows] += noise_variance
-    return MeasurementVector(values, CORRELATION, noise_variance, snapshots=0)
+    return values
 
 
 def _explicit_second_moment(target_gains: np.ndarray, noise_variance: float,
@@ -245,7 +226,7 @@ def _second_moment(target_gains: np.ndarray, noise_variance: float,
 
 def synthesize_snapshot_power(target_gains: np.ndarray, noise_variance: float,
                               snapshots: int, dither: int,
-                              rng: np.random.Generator) -> MeasurementVector:
+                              rng: np.random.Generator) -> np.ndarray:
     """Empirical per-anchor power: mean of squared aggregated samples.
 
     ``target_gains`` is (M, K), one column of gains per target at its true
@@ -255,14 +236,13 @@ def synthesize_snapshot_power(target_gains: np.ndarray, noise_variance: float,
     same seeds.
     """
     acc = _second_moment(target_gains, noise_variance, snapshots, dither, rng)
-    return MeasurementVector(np.diagonal(acc) / snapshots, POWER,
-                             noise_variance, snapshots)
+    return np.diagonal(acc) / snapshots
 
 
 def synthesize_snapshot_correlation(target_gains: np.ndarray, noise_variance: float,
                                     snapshots: int, dither: int,
                                     rng: np.random.Generator,
-                                    pairs: PairIndexMap) -> MeasurementVector:
+                                    pairs: PairIndexMap) -> np.ndarray:
     """Empirical anchor-pair correlations, selected to the i <= j rows.
 
     Reads the upper triangle of the symmetric sample correlation matrix
@@ -270,8 +250,7 @@ def synthesize_snapshot_correlation(target_gains: np.ndarray, noise_variance: fl
     sequences, restarted by each draw.
     """
     acc = _second_moment(target_gains, noise_variance, snapshots, dither, rng)
-    values = acc[pairs.first, pairs.second] / snapshots
-    return MeasurementVector(values, CORRELATION, noise_variance, snapshots)
+    return acc[pairs.first, pairs.second] / snapshots
 
 
 def synthesize_single_target_powers(target_gains: np.ndarray,
@@ -300,24 +279,20 @@ def synthesize_single_target_powers(target_gains: np.ndarray,
     return (root * root + noise_variance * rest) / snapshots
 
 
-def remove_noise_floor(meas: MeasurementVector,
-                       pairs: PairIndexMap | None = None) -> MeasurementVector:
-    """Subtract the measurement's own noise floor, ``meas.noise_variance``,
-    clamping at zero.
+def remove_noise_floor(values: np.ndarray, noise_variance: float,
+                       pairs: PairIndexMap | None = None) -> np.ndarray:
+    """A new array: ``values`` less the noise floor, clamped at zero.
 
-    Power models carry the floor on every entry, correlation models only on
-    their diagonal-pair rows (independent noise has no cross floor).
+    Without ``pairs`` the floor comes off every entry (powers, (M,) or
+    (M, K)); with them, off the diagonal-pair rows only (correlations:
+    independent noise has no cross floor).
     """
-    values = meas.values.copy()
-    if meas.model == POWER:
-        values -= meas.noise_variance
-    elif meas.model == CORRELATION:
-        if pairs is None:
-            raise ValueError("correlation floor removal needs the pair map")
-        if pairs.n_pairs != values.size:
-            raise ValueError("pair map does not match the measurement length")
-        values[pairs.diagonal_rows] -= meas.noise_variance
+    values = np.array(values, dtype=float)
+    if pairs is None:
+        values -= noise_variance
+    elif pairs.n_pairs != len(values):
+        raise ValueError("pair map does not match the measurement length")
     else:
-        raise ValueError(f"unknown measurement model '{meas.model}'")
+        values[pairs.diagonal_rows] -= noise_variance
     np.maximum(values, 0.0, out=values)
-    return MeasurementVector(values, meas.model, meas.noise_variance, meas.snapshots)
+    return values

@@ -1,8 +1,9 @@
 """Sparse recovery solvers and the grid localization pipelines.
 
 Measurements are modeled as ``b = A theta`` with ``theta`` a binary K-sparse
-cell indicator and ``A`` one of the fingerprint matrices.  ``locate_csm``
-and ``locate_cocsm`` return the support, the (K,) occupied cells; target
+cell indicator and ``A`` one of the fingerprint matrices; ``b`` is the
+measurement with its noise floor already removed.  ``locate_csm`` and
+``locate_cocsm`` return the support, the (K,) occupied cells; target
 positions are their centers, ``grid.centers_of(cells)``.  Greedy selection
 always correlates against unit-normalized columns because fingerprint
 column energies vary by orders of magnitude across the room, which would
@@ -30,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import GainModel, PairIndexMap
-from .measurement import CORRELATION, POWER, MeasurementVector, remove_noise_floor
 from .scenario import SOLVERS, GridModel
 
 _EPS = np.finfo(float).eps
@@ -269,6 +269,10 @@ def _locate(fp: np.ndarray | Dictionary, b: np.ndarray, k: int, grid: GridModel,
         raise ValueError(f"unknown solver '{solver}'")
     if solver == "nnls" and gain_model is None:
         raise ValueError("the nnls solver needs the continuous gain model")
+    fp = Dictionary.of(fp)
+    if len(b) != len(fp.matrix):
+        raise ValueError(f"measurement has {len(b)} rows, the dictionary "
+                         f"{len(fp.matrix)}")
     if solver == "omp":
         return omp(fp, b, k).support
     support = nnls_top_k(fp, b, k).support
@@ -276,33 +280,24 @@ def _locate(fp: np.ndarray | Dictionary, b: np.ndarray, k: int, grid: GridModel,
                                                  second, gain_model, grid))
 
 
-def locate_csm(meas: MeasurementVector, power_fp: np.ndarray | Dictionary,
-               k: int, grid: GridModel, solver: str = "omp",
+def locate_csm(b: np.ndarray, power_fp: np.ndarray | Dictionary, k: int,
+               grid: GridModel, solver: str = "omp",
                gain_model: GainModel | None = None) -> np.ndarray:
-    """Power-measurement pipeline: floor removal, then the sparse solve.
+    """The (K,) support of floor-removed per-anchor powers ``b``.
 
-    Returns the (K,) support.  The floor is the noise variance ``meas``
-    carries.  ``gain_model`` is used, and required, only by the ``nnls``
-    solver.
+    ``gain_model`` is used, and required, only by the ``nnls`` solver.
     """
-    if meas.model != POWER:
-        raise ValueError("csm expects a power measurement")
-    b = remove_noise_floor(meas).values
-    anchors = np.arange(b.size)
+    anchors = np.arange(len(b))
     return _locate(power_fp, b, k, grid, anchors, anchors, solver, gain_model)
 
 
-def locate_cocsm(meas: MeasurementVector, corr_fp: np.ndarray | Dictionary,
-                 k: int, grid: GridModel, pairs: PairIndexMap, solver: str = "omp",
+def locate_cocsm(b: np.ndarray, corr_fp: np.ndarray | Dictionary, k: int,
+                 grid: GridModel, pairs: PairIndexMap, solver: str = "omp",
                  gain_model: GainModel | None = None) -> np.ndarray:
-    """Correlation-measurement pipeline with diagonal-row floor removal.
+    """The (K,) support of floor-removed anchor-pair correlations ``b``,
+    rows in the order of ``pairs``.
 
-    Returns the (K,) support.  The floor is the noise variance ``meas``
-    carries.  ``gain_model`` is used, and required, only by the ``nnls``
-    solver.
+    ``gain_model`` is used, and required, only by the ``nnls`` solver.
     """
-    if meas.model != CORRELATION:
-        raise ValueError("cocsm expects a correlation measurement")
-    b = remove_noise_floor(meas, pairs).values
     return _locate(corr_fp, b, k, grid, pairs.first, pairs.second, solver,
                    gain_model)

@@ -273,8 +273,13 @@ def load_json(path: str):
 
 
 def load_config(path: str) -> SceneConfig:
-    """Load a JSON config file whose keys are SceneConfig field names."""
-    return config_from_dict(load_json(path))
+    """Load a JSON config file whose keys are SceneConfig field names; a
+    ConfigError names the file."""
+    data = load_json(path)
+    try:
+        return config_from_dict(data)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _parse_value(text: str):

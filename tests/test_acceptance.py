@@ -20,7 +20,7 @@ from vlp_sparse import (PdOptics, SceneConfig, build_scene,
                         cell_quantization_floor, gains_to_points,
                         indicator_from_cells, locate_cocsm, locate_csm,
                         match_and_error, omp, recoverability_advisory,
-                        sample_targets, snr_to_noise_variance,
+                        remove_noise_floor, sample_targets, snr_to_noise_variance,
                         synthesize_ideal_correlation, synthesize_ideal_power,
                         synthesize_snapshot_correlation,
                         synthesize_snapshot_power)
@@ -138,8 +138,8 @@ def test_criterion_05_snapshot_convergence():
         mc = synthesize_snapshot_correlation(gains, 0.0, snaps, 1050,
                                              np.random.default_rng(1051),
                                              scene.pairs)
-        errs_p.append(float(np.max(np.abs(mp.values - ideal_p) / ideal_p)))
-        errs_c.append(float(np.max(np.abs(mc.values - ideal_c)
+        errs_p.append(float(np.max(np.abs(mp - ideal_p) / ideal_p)))
+        errs_c.append(float(np.max(np.abs(mc - ideal_c)
                                    / np.abs(ideal_c))))
     for errs, tag in ((errs_p, "power"), (errs_c, "correlation")):
         assert errs[0] >= errs[1] >= errs[2], f"{tag} error not non-increasing: {errs}"
@@ -215,7 +215,8 @@ def test_criterion_07_quantization_floor():
         meas = synthesize_snapshot_correlation(
             gains, noise_var, 10 ** 6, int(seeds[0]),
             np.random.default_rng(int(seeds[1])), scene.pairs)
-        support = locate_cocsm(meas, scene.corr_dict.matrix, 8, scene.grid,
+        support = locate_cocsm(remove_noise_floor(meas, noise_var, scene.pairs),
+                               scene.corr_dict.matrix, 8, scene.grid,
                                scene.pairs, solver="nnls",
                                gain_model=scene.gain_model)
         err = match_and_error(scene.grid.centers_of(support), true_positions)

@@ -339,9 +339,11 @@ def test_target_count_beyond_grid_exits_2(tmp_path, capsys, args):
     assert not (tmp_path / "report.csv").exists()
 
 
-def test_unknown_config_key_exits_2(tmp_path):
+def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert run_cli(["fingerprint", "--set", "grid_pich=0.2",
                     "--out-dir", str(tmp_path)]) == 2
+    # an override names no file
+    assert capsys.readouterr().err == "error: unknown config keys: ['grid_pich']\n"
 
 
 def test_bad_config_file_reports_location(tmp_path, capsys):
@@ -351,6 +353,20 @@ def test_bad_config_file_reports_location(tmp_path, capsys):
                     "--out-dir", str(tmp_path)])
     assert code == 2
     assert "line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content,message", [
+    ([1], "config: must be an object, got [1]"),
+    ({"bogus": 1}, "unknown config keys: ['bogus']"),
+], ids=["not-an-object", "unknown-key"])
+def test_config_file_content_error_names_the_file(tmp_path, capsys, content,
+                                                  message):
+    path, out = tmp_path / "f.json", tmp_path / "out"
+    path.write_text(json.dumps(content))
+    assert run_cli(["fingerprint", "--config", str(path),
+                    "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_1(tmp_path, capsys):
@@ -519,10 +535,11 @@ def test_dumped_measurement_is_the_trial_measurement(tmp_path, scheme):
                      schemes=[scheme])[scheme].measurement
     with open(tmp_path / "measurements.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
-    lead = [meas.model, "300", f"{meas.noise_variance:.17g}"]
+    model = "correlation" if scheme == "cocsm" else "power"
+    lead = [model, "300", f"{1e-12:.17g}"]
     assert [row[:3] for row in rows] == [lead] * len(rows)
     dumped = np.array([[float(v) for v in row[3:]] for row in rows])
-    assert np.array_equal(dumped, np.atleast_2d(meas.values.T))
+    assert np.array_equal(dumped, np.atleast_2d(meas.T))
 
 
 def test_dead_cell_sweep_lists_outputs_then_fails(tmp_path, monkeypatch, capsys):

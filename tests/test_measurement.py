@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vlp_sparse import (MeasurementVector, SceneConfig,
+from vlp_sparse import (SceneConfig,
                         build_scene, gains_to_points, indicator_from_cells,
                         remove_noise_floor, sample_targets, synthesize_ideal_correlation,
                         synthesize_ideal_power,
@@ -50,30 +50,29 @@ def test_indicator_rejects_duplicates_and_range():
 
 
 def test_noise_floor_removal_needs_a_matching_pair_map():
-    meas = MeasurementVector(np.ones(3), "correlation", 0.5, 0)
     with pytest.raises(ValueError, match="pair map does not match"):
-        remove_noise_floor(meas, PairIndexMap.for_anchor_count(3))
+        remove_noise_floor(np.ones(3), 0.5, PairIndexMap.for_anchor_count(3))
 
 
 def test_ideal_power_single_target_is_fingerprint_column(scene):
     ind = indicator_from_cells([7], scene.grid.n)
     meas = synthesize_ideal_power(scene.power_dict.matrix, ind, 0.0)
-    np.testing.assert_array_equal(meas.values, scene.power_dict.matrix[:, 7])
-    assert meas.model == "power" and meas.snapshots == 0
+    np.testing.assert_array_equal(meas, scene.power_dict.matrix[:, 7])
+    assert meas.shape == (16,)
 
 
 def test_ideal_power_is_linear_in_the_indicator(scene):
     ind = indicator_from_cells([2, 5], scene.grid.n)
     power_fp = scene.power_dict.matrix
     meas = synthesize_ideal_power(power_fp, ind, 0.0)
-    np.testing.assert_allclose(meas.values, power_fp[:, 2] + power_fp[:, 5],
+    np.testing.assert_allclose(meas, power_fp[:, 2] + power_fp[:, 5],
                                rtol=1e-15)
 
 
 def test_ideal_power_noise_floor_term():
     J = np.zeros((3, 4))
     meas = synthesize_ideal_power(J, indicator_from_cells([0], 4), 0.1)
-    np.testing.assert_array_equal(meas.values, [0.1, 0.1, 0.1])
+    np.testing.assert_array_equal(meas, [0.1, 0.1, 0.1])
 
 
 def test_ideal_correlation_two_anchor_noise_floor():
@@ -81,7 +80,7 @@ def test_ideal_correlation_two_anchor_noise_floor():
     psi = H[[0, 0, 1]] * H[[0, 1, 1]]
     pairs = PairIndexMap.for_anchor_count(2)
     meas = synthesize_ideal_correlation(psi, np.array([1.0]), 0.5, pairs)
-    np.testing.assert_array_equal(meas.values, [9.5, 12.0, 16.5])
+    np.testing.assert_array_equal(meas, [9.5, 12.0, 16.5])
 
 
 def test_ideal_correlation_affine_in_disjoint_indicators(scene):
@@ -93,7 +92,7 @@ def test_ideal_correlation_affine_in_disjoint_indicators(scene):
     m_b = synthesize_ideal_correlation(scene.corr_dict.matrix, b, s2, scene.pairs)
     floor = np.zeros(scene.pairs.n_pairs)
     floor[scene.pairs.diagonal_rows] = s2
-    np.testing.assert_allclose(m_ab.values, m_a.values + m_b.values - floor,
+    np.testing.assert_allclose(m_ab, m_a + m_b - floor,
                                rtol=1e-12, atol=1e-20)
 
 
@@ -102,7 +101,7 @@ def test_snapshot_power_single_target_exact(scene):
     gains = scene.gains[:, [123]]
     meas = synthesize_snapshot_power(gains, 0.0, 37, 1,
                                      np.random.default_rng(2))
-    np.testing.assert_allclose(meas.values, gains[:, 0] ** 2, rtol=1e-12)
+    np.testing.assert_allclose(meas, gains[:, 0] ** 2, rtol=1e-12)
 
 
 def test_snapshot_power_single_snapshot_has_cross_terms(scene):
@@ -110,7 +109,7 @@ def test_snapshot_power_single_snapshot_has_cross_terms(scene):
     ideal = (gains ** 2).sum(axis=1)
     meas = synthesize_snapshot_power(gains, 0.0, 1, 3,
                                      np.random.default_rng(4))
-    assert not np.allclose(meas.values, ideal, rtol=1e-3, atol=0)
+    assert not np.allclose(meas, ideal, rtol=1e-3, atol=0)
 
 
 def test_snapshot_power_converges_to_ideal(scene):
@@ -119,7 +118,7 @@ def test_snapshot_power_converges_to_ideal(scene):
     ideal = (gains ** 2).sum(axis=1)
     meas = synthesize_snapshot_power(gains, 0.0, 10 ** 6, 6,
                                      np.random.default_rng(7))
-    rel = np.max(np.abs(meas.values - ideal) / ideal)
+    rel = np.max(np.abs(meas - ideal) / ideal)
     assert rel < 1e-2
 
 
@@ -135,7 +134,7 @@ def test_snapshot_error_shrinks_with_snapshot_count(scene):
     for snaps in (10 ** 2, 10 ** 4, 10 ** 6):
         meas = synthesize_snapshot_power(gains, 0.0, snaps, 9,
                                          np.random.default_rng(10))
-        errors.append(np.max(np.abs(meas.values - ideal_p) / ideal_p))
+        errors.append(np.max(np.abs(meas - ideal_p) / ideal_p))
     assert errors[0] >= errors[1] >= errors[2]
     for err, snaps in zip(errors, (10 ** 2, 10 ** 4, 10 ** 6)):
         assert err <= 3.0 / np.sqrt(snaps) * peak
@@ -147,7 +146,7 @@ def test_snapshot_correlation_single_target_exact_any_length(scene):
                                            np.random.default_rng(12),
                                            scene.pairs)
     expected = gains[scene.pairs.first, 0] * gains[scene.pairs.second, 0]
-    np.testing.assert_allclose(meas.values, expected, rtol=1e-12)
+    np.testing.assert_allclose(meas, expected, rtol=1e-12)
 
 
 def test_snapshot_correlation_converges_to_ideal(scene):
@@ -158,7 +157,7 @@ def test_snapshot_correlation_converges_to_ideal(scene):
     meas = synthesize_snapshot_correlation(gains, 0.0, 10 ** 6, 14,
                                            np.random.default_rng(15),
                                            scene.pairs)
-    rel = np.max(np.abs(meas.values - ideal) / np.abs(ideal))
+    rel = np.max(np.abs(meas - ideal) / np.abs(ideal))
     assert rel < 1e-2
 
 
@@ -190,13 +189,13 @@ def test_snapshot_correlation_off_diagonal_has_no_noise_floor(scene):
     off = i != j
     # cross terms scale as (g_i + g_j) sigma / sqrt(L) + sigma^2 / sqrt(L)
     bound = 5.0 * ((gains[i, 0] + gains[j, 0]) * np.sqrt(s2) + s2) / np.sqrt(snaps)
-    assert np.all(np.abs(meas.values[off] - expected[off]) <= bound[off])
+    assert np.all(np.abs(meas[off] - expected[off]) <= bound[off])
 
 
 def test_snapshot_synthesis_is_deterministic(scene):
     gains = scene.gains[:, [5, 9]]
     runs = [synthesize_snapshot_power(gains, 1e-12, 1000, 20,
-                                      np.random.default_rng(21)).values
+                                      np.random.default_rng(21))
             for _ in range(2)]
     assert np.array_equal(runs[0], runs[1])
 
@@ -408,8 +407,7 @@ def test_snapshot_power_is_correlation_diagonal_bit_for_bit(scene, snapshots, k)
     corr = synthesize_snapshot_correlation(gains, 1e-12, snapshots, 32,
                                            np.random.default_rng(33),
                                            scene.pairs)
-    np.testing.assert_array_equal(power.values,
-                                  corr.values[scene.pairs.diagonal_rows])
+    np.testing.assert_array_equal(power, corr[scene.pairs.diagonal_rows])
     for draw, *pairs in ((synthesize_snapshot_power,),
                          (synthesize_snapshot_correlation, scene.pairs)):
         with pytest.raises(TypeError):
@@ -430,7 +428,7 @@ def test_snapshot_correlation_picks_sampler_by_length(scene, snapshots, sampler)
     acc = sampler(gains, 1e-12, snapshots, 34,
                   np.random.default_rng(35))
     np.testing.assert_array_equal(
-        meas.values, acc[scene.pairs.first, scene.pairs.second] / snapshots)
+        meas, acc[scene.pairs.first, scene.pairs.second] / snapshots)
 
 
 @pytest.mark.parametrize("snapshots", [CROSSOVER + 1, 10 ** 6])
@@ -438,7 +436,7 @@ def test_statistics_sampler_noiseless_single_target_exact(scene, snapshots):
     gains = scene.gains[:, [123]]
     meas = synthesize_snapshot_power(gains, 0.0, snapshots, 1,
                                      np.random.default_rng(2))
-    np.testing.assert_allclose(meas.values, gains[:, 0] ** 2, rtol=1e-12)
+    np.testing.assert_allclose(meas, gains[:, 0] ** 2, rtol=1e-12)
 
 
 def test_statistics_sampler_noiseless_singular_gram_is_exact():
@@ -544,44 +542,49 @@ def test_remove_noise_floor_inverts_ideal_power():
     # O(1) fingerprint keeps the add-then-subtract exact in float64
     fp = np.array([[3.0, 1.0], [2.0, 5.0], [0.5, 4.0]])
     meas = synthesize_ideal_power(fp, np.array([1.0, 0.0]), 0.1)
-    cleaned = remove_noise_floor(meas)
-    np.testing.assert_array_equal(cleaned.values, fp[:, 0])
+    np.testing.assert_array_equal(remove_noise_floor(meas, 0.1), fp[:, 0])
 
 
 def test_remove_noise_floor_inverts_at_scene_scale(scene):
     ind = indicator_from_cells([44], scene.grid.n)
     s2 = 1e-12  # comparable to the fingerprint entries
     meas = synthesize_ideal_power(scene.power_dict.matrix, ind, s2)
-    cleaned = remove_noise_floor(meas)
-    np.testing.assert_allclose(cleaned.values, scene.power_dict.matrix[:, 44],
-                               rtol=1e-9, atol=0)
+    np.testing.assert_allclose(remove_noise_floor(meas, s2),
+                               scene.power_dict.matrix[:, 44], rtol=1e-9, atol=0)
 
 
 def test_remove_noise_floor_zero_variance_is_identity(scene):
     ind = indicator_from_cells([44], scene.grid.n)
     meas = synthesize_ideal_power(scene.power_dict.matrix, ind, 0.0)
-    np.testing.assert_array_equal(remove_noise_floor(meas).values,
-                                  meas.values)
+    np.testing.assert_array_equal(remove_noise_floor(meas, 0.0), meas)
 
 
 def test_remove_noise_floor_clamps_at_zero():
-    meas = MeasurementVector(np.full(3, 0.1), "power", 0.2, 0)  # values below the floor
-    cleaned = remove_noise_floor(meas)
-    np.testing.assert_array_equal(cleaned.values, np.zeros(3))
+    cleaned = remove_noise_floor(np.full(3, 0.1), 0.2)  # values below the floor
+    np.testing.assert_array_equal(cleaned, np.zeros(3))
+
+
+def test_remove_noise_floor_floors_each_power_column():
+    # (M, K) powers, one column per target measured alone; a new array
+    powers = np.array([[0.75, 0.125], [0.5, 0.25], [0.375, 1.0]])
+    drawn = powers.copy()
+    cleaned = remove_noise_floor(powers, 0.25)
+    np.testing.assert_array_equal(cleaned, [[0.5, 0.0], [0.25, 0.0], [0.125, 0.75]])
+    for column in range(2):
+        np.testing.assert_array_equal(cleaned[:, column],
+                                      remove_noise_floor(powers[:, column], 0.25))
+    np.testing.assert_array_equal(powers, drawn)
 
 
 def test_remove_noise_floor_correlation_touches_diagonal_rows_only(scene):
     ind = indicator_from_cells([10], scene.grid.n)
     meas = synthesize_ideal_correlation(scene.corr_dict.matrix, ind, 0.3, scene.pairs)
-    cleaned = remove_noise_floor(meas, scene.pairs)
-    np.testing.assert_allclose(cleaned.values, scene.corr_dict.matrix[:, 10],
+    cleaned = remove_noise_floor(meas, 0.3, scene.pairs)
+    np.testing.assert_allclose(cleaned, scene.corr_dict.matrix[:, 10],
                                rtol=0, atol=1e-16)
 
 
-def test_remove_noise_floor_model_mismatch():
-    meas = MeasurementVector(np.ones(3), "correlation", 0.0, 0)
+def test_remove_noise_floor_model_mismatch(scene):
+    # per-anchor powers handed the pair map of the correlation rows
     with pytest.raises(ValueError, match="pair map"):
-        remove_noise_floor(meas)
-    bad = MeasurementVector(np.ones(3), "banana", 0.0, 0)
-    with pytest.raises(ValueError, match="unknown measurement model"):
-        remove_noise_floor(bad)
+        remove_noise_floor(np.ones(scene.gains.shape[0]), 0.0, scene.pairs)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_support
-from vlp_sparse import (MeasurementVector, SceneConfig, build_scene,
+from vlp_sparse import (SceneConfig, build_scene,
                         gains_to_points, indicator_from_cells, locate_cocsm,
                         locate_csm, nnls_top_k, omp, recoverability_advisory,
-                        refine_off_grid, sample_targets,
+                        refine_off_grid, remove_noise_floor, sample_targets,
                         synthesize_ideal_correlation, synthesize_ideal_power,
                         synthesize_snapshot_correlation)
 from vlp_sparse.channel import PairIndexMap
@@ -453,15 +453,14 @@ def test_locate_cocsm_two_anchor_toy():
     psi = np.array([[9.0], [12.0], [16.0]])
     centers = np.array([[0.5, 0.5]])
     grid = GridModel(nx=1, ny=1, pitch=1.0, centers=centers)
-    meas = MeasurementVector(np.array([9.0, 12.0, 16.0]), "correlation", 0.0, 0)
-    support = locate_cocsm(meas, psi, 1, grid, pairs)
+    support = locate_cocsm(np.array([9.0, 12.0, 16.0]), psi, 1, grid, pairs)
     assert support.tolist() == [0]
     assert np.allclose(grid.centers_of(support)[0], [0.5, 0.5])
 
 
 @pytest.mark.parametrize("scheme,model,kwargs,message", [
-    ("csm", "correlation", {}, "csm expects a power measurement"),
-    ("cocsm", "power", {}, "cocsm expects a correlation measurement"),
+    ("csm", "correlation", {}, "measurement has 136 rows, the dictionary 16"),
+    ("cocsm", "power", {}, "measurement has 16 rows, the dictionary 136"),
     ("csm", "power", {"solver": "bogus"}, "unknown solver 'bogus'"),
     ("cocsm", "correlation", {"solver": "bogus"}, "unknown solver 'bogus'"),
     ("csm", "power", {"solver": "nnls"},
@@ -471,8 +470,7 @@ def test_locate_cocsm_two_anchor_toy():
 ], ids=["csm-model", "cocsm-model", "csm-solver", "cocsm-solver",
         "csm-gain-model", "cocsm-gain-model"])
 def test_locate_model_mismatch_raises(scene, scheme, model, kwargs, message):
-    meas = {"power": MeasurementVector(np.ones(16), "power", 0.0, 0),
-            "correlation": MeasurementVector(np.ones(136), "correlation", 0.0, 0)}
+    meas = {"power": np.ones(16), "correlation": np.ones(136)}
     with pytest.raises(ValueError, match=f"^{message}$"):
         if scheme == "csm":
             locate_csm(meas[model], scene.power_dict.matrix, 1, scene.grid, **kwargs)
@@ -580,7 +578,8 @@ def test_locate_nnls_returns_k_cell_centers_off_grid(scene, monkeypatch):
     meas = synthesize_snapshot_correlation(gains, 1e-12, 200, 58,
                                            np.random.default_rng(59),
                                            scene.pairs)
-    support = locate_cocsm(meas, scene.corr_dict.matrix, 6, scene.grid,
+    b = remove_noise_floor(meas, 1e-12, scene.pairs)
+    support = locate_cocsm(b, scene.corr_dict.matrix, 6, scene.grid,
                            scene.pairs, solver="nnls", gain_model=scene.gain_model)
     assert support.shape == (6,)
     assert support.dtype.kind == "i"
