@@ -2,7 +2,9 @@
 
 Every ``SceneConfig`` key (``scheme``, ``solver``, ``targets_k``, ...) is
 set by ``--config`` or ``--set KEY=VALUE``; only the seed has a flag of its
-own, ``--seed``.
+own, ``--seed``.  ``sweep --from-manifest`` reruns the recorded config and
+axes; a ``--set``, ``--seed``, ``--K-list``, ``--snr-list`` or ``--trials``
+that is given overrides the recorded value.
 
 Outputs are plot-ready CSV tables (floats at 17 significant digits, so the
 text round-trips) with JSON mirrors, plus a run manifest with content
@@ -28,13 +30,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .evaluation import (CampaignReport, aligned_estimates, build_scene,
-                         run_campaign, run_trial)
-from .scenario import (ConfigError, SceneConfig, apply_overrides,
+from .evaluation import aligned_estimates, build_scene, run_campaign, run_trial
+from .scenario import (SCHEMES, ConfigError, SceneConfig, apply_overrides,
                        config_from_dict, config_to_dict, load_config, load_json)
-
-REPORT_COLUMNS = ("scheme", "K", "snr_db", "L", "trials",
-                  "mean_error_m", "std_error_m", "success_rate", "failures")
 
 
 def _fmt(value) -> str:
@@ -144,21 +142,6 @@ def cmd_simulate(config: SceneConfig, out_dir: str,
     return written, {}, None
 
 
-def _write_report(report: CampaignReport, out_dir: str) -> list[str]:
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "report.csv")
-    _write_csv(csv_path, [REPORT_COLUMNS]
-               + [[row[c] for c in REPORT_COLUMNS] for row in report.rows])
-    json_path = os.path.join(out_dir, "report.json")
-    _write_json(json_path, {
-        "config": config_to_dict(report.config),
-        "axes": {"K": report.k_list, "snr_db": report.snr_list,
-                 "trials": report.trials, "schemes": list(report.schemes)},
-        "rows": report.rows,
-    })
-    return [csv_path, json_path]
-
-
 def _write_manifest(out_dir: str, command: str, config: SceneConfig,
                     written: list[str], started: str, **extras) -> str:
     """Digest every output and write the manifest atomically, last."""
@@ -183,12 +166,23 @@ def _write_manifest(out_dir: str, command: str, config: SceneConfig,
 
 def cmd_sweep(config: SceneConfig, out_dir: str, k_list, snr_list,
               trials: int, jobs: int):
-    """Run the campaign and write the report files; fail on a dead cell."""
-    report = run_campaign(config, k_list, snr_list, trials, jobs=jobs)
-    dead = sum(row["failures"] == report.trials for row in report.rows)
-    return (_write_report(report, out_dir),
-            {"sweep": {"k_list": report.k_list, "snr_list": report.snr_list,
-                       "trials": report.trials, "schemes": report.schemes}},
+    """Run the campaign and write the report files; fail on a dead cell.
+
+    The rows' keys are the columns of ``report.csv``; the K and SNR axes are
+    read back from the rows, as ``run_campaign`` normalized them.
+    """
+    rows = run_campaign(config, k_list, snr_list, trials, jobs=jobs).rows
+    k_list, snr_list = (list(dict.fromkeys(row[key] for row in rows))
+                        for key in ("K", "snr_db"))
+    os.makedirs(out_dir, exist_ok=True)
+    written = [os.path.join(out_dir, name) for name in ("report.csv", "report.json")]
+    _write_csv(written[0], [list(rows[0])] + [list(row.values()) for row in rows])
+    _write_json(written[1], {"config": config_to_dict(config), "rows": rows,
+                             "axes": {"K": k_list, "snr_db": snr_list,
+                                      "trials": trials, "schemes": SCHEMES}})
+    dead = sum(row["failures"] == trials for row in rows)
+    return (written, {"sweep": {"k_list": k_list, "snr_list": snr_list,
+                                "trials": trials, "schemes": SCHEMES}},
             f"{dead} report cell(s) had 100% solver failure" if dead else None)
 
 
@@ -226,13 +220,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", parents=[common],
                            help="Monte-Carlo campaign over K and SNR")
-    sweep.add_argument("--K-list", default="2,4,6,8,10", metavar="K1,K2,...")
-    sweep.add_argument("--snr-list", default="20", metavar="DB1,DB2,...")
-    sweep.add_argument("--trials", type=int, default=200)
+    sweep.add_argument("--K-list", metavar="K1,K2,...",
+                       help="target counts (default: 2,4,6,8,10)")
+    sweep.add_argument("--snr-list", metavar="DB1,DB2,...",
+                       help="SNRs in dB, inf for none (default: 20)")
+    sweep.add_argument("--trials", type=int, help="trials per cell (default: 200)")
     sweep.add_argument("--jobs", type=int, default=1,
                        help="processes running the trials")
     sweep.add_argument("--from-manifest", metavar="PATH",
-                       help="rerun the sweep recorded in a manifest")
+                       help="rerun the sweep recorded in a manifest; the "
+                            "sweep flags given override its values")
     return parser
 
 
@@ -266,10 +263,14 @@ def main(argv=None) -> int:
                                       f"lacks '{key}'")
         config = _effective_config(args, manifest)
         if args.command == "sweep":
-            axes = manifest["sweep"] if manifest is not None else {
-                "k_list": _parse_list(args.K_list, int, "integers"),
-                "snr_list": _parse_list(args.snr_list, float, "numbers"),
-                "trials": args.trials}
+            axes = dict(manifest["sweep"]) if manifest is not None else {
+                "k_list": [2, 4, 6, 8, 10], "snr_list": [20.0], "trials": 200}
+            if args.K_list is not None:
+                axes["k_list"] = _parse_list(args.K_list, int, "integers")
+            if args.snr_list is not None:
+                axes["snr_list"] = _parse_list(args.snr_list, float, "numbers")
+            if args.trials is not None:
+                axes["trials"] = args.trials
 
         started = datetime.now(timezone.utc).isoformat()
         if args.command == "fingerprint":

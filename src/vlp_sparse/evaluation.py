@@ -85,13 +85,8 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class CampaignReport:
-    config: SceneConfig
-    k_list: list[int]
-    snr_list: list[float]
-    trials: int
-    schemes: tuple[str, ...]
-    rows: list[dict]  # aggregates in (K, snr, scheme) order
-    trial_records: dict = field(repr=False, default_factory=dict)
+    rows: list[dict]  # aggregates in (K, snr, scheme) order; keys = report columns
+    trial_records: dict = field(repr=False)  # (K, snr, scheme) -> TrialResults
 
 
 def cell_quantization_floor(pitch: float) -> float:
@@ -473,6 +468,4 @@ def run_campaign(config: SceneConfig, k_list, snr_list, trials: int,
                 "success_rate": sum(t.exact_support for t in ok) / trials,
                 "failures": trials - len(ok),
             })
-    return CampaignReport(config=config, k_list=k_list, snr_list=snr_list,
-                          trials=trials, schemes=SCHEMES, rows=rows,
-                          trial_records=records)
+    return CampaignReport(rows=rows, trial_records=records)

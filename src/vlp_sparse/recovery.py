@@ -49,9 +49,6 @@ class SparseSolution:
 class RecoveryAdvisory:
     """How the equation count compares against ``K * ln(N / K)``."""
 
-    m_eff: int
-    n: float
-    k: int
     threshold: float
     ratio: float
     flagged: bool
@@ -233,8 +230,7 @@ def recoverability_advisory(m_eff: int, n: float, k: int) -> RecoveryAdvisory:
     """
     threshold = k * math.log(n / k)
     ratio = m_eff / threshold if threshold > 0 else math.inf
-    return RecoveryAdvisory(m_eff=m_eff, n=n, k=k, threshold=threshold,
-                            ratio=ratio, flagged=ratio < 1.0)
+    return RecoveryAdvisory(threshold=threshold, ratio=ratio, flagged=ratio < 1.0)
 
 
 def _distinct_cells(grid: GridModel, xy: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_support
-from vlp_sparse import (PdOptics, SceneConfig, build_scene,
+from vlp_sparse import (SCHEMES, PdOptics, SceneConfig, build_scene,
                         cell_quantization_floor, gains_to_points,
                         indicator_from_cells, locate_cocsm, locate_csm,
                         match_and_error, omp, recoverability_advisory,
@@ -171,7 +171,7 @@ def test_criterion_06_scheme_ordering_benchmark():
     means = {(row["K"], row["scheme"]): row["mean_error_m"]
              for row in report.rows}
     lines = [f"K={k}: " + " ".join(f"{s}={means[(k, s)]:.3f}"
-                                   for s in report.schemes) for k in k_list]
+                                   for s in SCHEMES) for k in k_list]
     detail = "; ".join(lines)
     assert elapsed < 900.0, f"runtime {elapsed:.1f}s exceeds 15min"
     for k in k_list:
@@ -179,7 +179,7 @@ def test_criterion_06_scheme_ordering_benchmark():
             f"cocsm > csm at K={k}: {detail}"
         assert means[(k, "csm")] <= means[(k, "rss_baseline")], \
             f"csm > baseline at K={k}: {detail}"
-    for scheme in report.schemes:
+    for scheme in SCHEMES:
         series = [means[(k, scheme)] for k in k_list]
         inversions = sum(b < a - 1e-12 for a, b in zip(series, series[1:]))
         assert inversions <= 1, \

@@ -1,11 +1,12 @@
 import csv
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from vlp_sparse import evaluation
+from vlp_sparse import cli, evaluation
 from vlp_sparse.cli import main
 
 
@@ -153,6 +154,65 @@ def test_sweep_rerun_from_manifest_is_byte_identical(tmp_path):
     assert code == 0
     assert read(first / "report.csv") == read(second / "report.csv")
     assert read(first / "report.json") == read(second / "report.json")
+
+
+def test_sweep_flags_override_the_manifest(tmp_path):
+    first, second = tmp_path / "one", tmp_path / "two"
+    assert run_cli(["sweep", "--K-list", "2", "--snr-list", "20", "--trials", "2",
+                    "--set", "snapshots=10", "--out-dir", str(first)]) == 0
+    assert run_cli(["sweep", "--from-manifest", str(first / "manifest.json"),
+                    "--trials", "3", "--K-list", "4,6", "--snr-list", "10",
+                    "--out-dir", str(second)]) == 0
+    report = json.loads(read(second / "report.json"))
+    assert report["axes"] == {"K": [4, 6], "snr_db": [10.0], "trials": 3,
+                              "schemes": ["csm", "cocsm", "rss_baseline"]}
+    assert [(row["K"], row["snr_db"], row["trials"]) for row in report["rows"]] \
+        == [(4, 10.0, 3)] * 3 + [(6, 10.0, 3)] * 3
+    assert report["config"]["snapshots"] == 10  # the manifest's config stays
+    sweep = json.loads(read(second / "manifest.json"))["sweep"]
+    assert (sweep["k_list"], sweep["snr_list"], sweep["trials"]) == ([4, 6], [10.0], 3)
+    # one flag alone replaces only its own value
+    third = tmp_path / "three"
+    assert run_cli(["sweep", "--from-manifest", str(second / "manifest.json"),
+                    "--trials", "1", "--out-dir", str(third)]) == 0
+    sweep = json.loads(read(third / "manifest.json"))["sweep"]
+    assert (sweep["k_list"], sweep["snr_list"], sweep["trials"]) == ([4, 6], [10.0], 1)
+
+
+def test_sweep_report_csv_takes_its_columns_from_the_rows(tmp_path, monkeypatch):
+    real = cli.run_campaign
+
+    def campaign(*args, **kwargs):
+        report = real(*args, **kwargs)
+        return dataclasses.replace(
+            report, rows=[{**row, "extra": 7} for row in report.rows])
+
+    monkeypatch.setattr(cli, "run_campaign", campaign)
+    assert run_cli(["sweep", "--K-list", "2", "--snr-list", "20", "--trials", "1",
+                    "--set", "snapshots=10", "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "report.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == ["scheme", "K", "snr_db", "L", "trials",
+                                     "mean_error_m", "std_error_m",
+                                     "success_rate", "failures", "extra"]
+        assert [row["extra"] for row in reader] == ["7"] * 3
+    rows = json.loads(read(tmp_path / "report.json"))["rows"]
+    assert [row["extra"] for row in rows] == [7] * 3
+
+
+def test_manifest_snr_string_is_recorded_as_a_number(tmp_path):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "config": {"snapshots": 10},
+        "sweep": {"k_list": [2], "snr_list": ["20", "inf", 30], "trials": 1}}))
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--from-manifest", str(manifest),
+                    "--out-dir", str(out)]) == 0
+    report = json.loads(read(out / "report.json"))
+    sweep = json.loads(read(out / "manifest.json"))["sweep"]
+    for recorded in (report["axes"]["snr_db"], sweep["snr_list"]):
+        assert recorded == [20.0, "inf", 30.0]
+        assert [type(v) for v in recorded] == [float, str, float]
 
 
 def test_sweep_rejects_non_sweep_manifest(tmp_path, capsys):

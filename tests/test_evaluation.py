@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from vlp_sparse import (ConfigError, GainModel, PdOptics, SceneConfig,
+from vlp_sparse import (SCHEMES, ConfigError, GainModel, PdOptics, SceneConfig,
                         aligned_estimates, build_scene, cell_quantization_floor, gain_to_range,
                         gains_to_points, match_and_error, place_leds,
                         rss_baseline_locate, run_campaign, run_trial)
@@ -620,7 +620,7 @@ def test_campaign_prefix_is_stable_when_trials_grow():
     cfg = SceneConfig(targets_k=2, snapshots=20, seed=10)
     short = run_campaign(cfg, [2], [15.0], trials=2)
     long = run_campaign(cfg, [2], [15.0], trials=4)
-    for scheme in short.schemes:
+    for scheme in SCHEMES:
         a = short.trial_records[(2, 15.0, scheme)]
         b = long.trial_records[(2, 15.0, scheme)][:2]
         assert [t.error_m for t in a] == [t.error_m for t in b]
@@ -716,7 +716,7 @@ def test_campaign_row_order_and_counts():
     assert len(report.rows) == 2 * 2 * 3
     keys = [(r["K"], r["snr_db"], r["scheme"]) for r in report.rows]
     assert keys == [(k, s, sch) for k in (2, 4) for s in (10.0, 20.0)
-                    for sch in report.schemes]
+                    for sch in SCHEMES]
 
 
 @pytest.mark.parametrize("k_list,snr_list,trials,jobs,key", [
