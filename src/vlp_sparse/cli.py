@@ -4,14 +4,15 @@ Every ``SceneConfig`` key (``scheme``, ``solver``, ``targets_k``, ...) is
 set by ``--config`` or ``--set KEY=VALUE``; only the seed has a flag of its
 own, ``--seed``.  ``sweep --from-manifest`` reruns the recorded config and
 axes; a ``--set``, ``--seed``, ``--K-list``, ``--snr-list`` or ``--trials``
-that is given overrides the recorded value.
+that is given overrides the recorded value, and ``--config`` is rejected.
 
 Outputs are plot-ready CSV tables (floats at 17 significant digits, so the
 text round-trips) with JSON mirrors, plus a run manifest with content
 digests.  Reruns with the same config and seed are byte-identical, for any
-``--jobs``; volatile values (wall-clock runtimes, timestamps) never enter
-the CSV/JSON result files, only the manifest.  Each command returns its
-written paths, its manifest extras and its failure message (None, or exit 1).
+``--jobs``; volatile values (wall-clock runtimes, timestamps, the Python,
+numpy and scipy versions) never enter the CSV/JSON result files, only the
+manifest.  Each command returns its written paths, its manifest extras and
+its failure message (None, or exit 1).
 Exit 2 means an input was rejected before anything ran or was written; exit 1
 that a command ran and failed (its manifest still written), or an I/O error.
 """
@@ -20,10 +21,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import os
+import platform
 import sys
 from datetime import datetime, timezone
 
@@ -142,12 +145,27 @@ def cmd_simulate(config: SceneConfig, out_dir: str,
     return written, {}, None
 
 
+@functools.cache
+def _scipy_version() -> str | None:
+    """scipy's installed version, read from its metadata without importing
+    scipy.  ``importlib.metadata`` is loaded only here (about 3 MB), and the
+    lookup (about 2 ms) is made once per process."""
+    import importlib.metadata
+    try:
+        return importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        return None
+
+
 def _write_manifest(out_dir: str, command: str, config: SceneConfig,
                     written: list[str], started: str, **extras) -> str:
     """Digest every output and write the manifest atomically, last."""
     manifest = {
         "tool": "vlp-sparse",
         "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": _scipy_version(),
         "command": command,
         "config": config_to_dict(config),
         "seed": config.seed,
@@ -229,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="processes running the trials")
     sweep.add_argument("--from-manifest", metavar="PATH",
                        help="rerun the sweep recorded in a manifest; the "
-                            "sweep flags given override its values")
+                            "sweep flags given override its values "
+                            "(not with --config)")
     return parser
 
 
@@ -252,6 +271,9 @@ def main(argv=None) -> int:
     try:
         manifest = None
         if getattr(args, "from_manifest", None):
+            if args.config:
+                raise ConfigError("--config and --from-manifest cannot be "
+                                  "combined: the manifest holds the config")
             manifest = load_json(args.from_manifest)
             if not isinstance(manifest, dict) \
                     or "config" not in manifest or "sweep" not in manifest:

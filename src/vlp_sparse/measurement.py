@@ -11,13 +11,14 @@ Ideal synthesis works on grid-cell fingerprints; snapshot synthesis works on
 per-target gains taken at the true continuous positions, which injects the
 off-grid mismatch a real deployment would see.
 
-Both snapshot estimators read one sum ``sum_l y_l y_l^T``.  Up to
+Both snapshot estimators read one sum ``sum_l y_l y_l^T``, and
+``_second_moment`` alone picks how it is drawn.  Up to
 ``_EXPLICIT_MAX_SNAPSHOTS`` snapshots it is accumulated from drawn samples;
 beyond, it is drawn from its sufficient statistics (the dither Gram matrix,
-a Gaussian projection and a Wishart remainder).  The Gram matrix is drawn
-either from the counts of the 2^(K-1) sign patterns, one multinomial draw
-costing O(2^(K-1) K^2) whatever L, or from packed sign words costing
-O(K^2 L / 64), whichever is cheaper at that (K, L).  The samplers, and the
+a Gaussian projection and a Wishart remainder).  The Gram matrix comes from
+the counts of the 2^(K-1) sign patterns, one multinomial draw costing
+O(2^(K-1) K^2) whatever L, while ``2^(K-1) <= max(256, ceil(L / 64))``, and
+from packed sign words costing O(K^2 L / 64) beyond.  The samplers, and the
 two Gram draws, have the same distribution, not the same draws.
 
 The ``dither`` argument of the snapshot samplers is the int seed of the
@@ -34,16 +35,15 @@ import numpy as np
 
 from .channel import PairIndexMap
 
-# largest L sampled explicitly: near where the two samplers' call times
-# cross (median over fresh seeds, K = 1..8, M = 16, 2-vCPU Xeon, three
-# rounds, explicit against statistics: 0.06-0.10 against 0.07-0.20 ms at
-# L = 128, 0.08-0.12 against 0.08-0.25 at 192, 0.13-0.15 against 0.08-0.21
-# at 256, 0.09-0.15 against 0.06-0.20 at 257, 0.13-0.19 against 0.07-0.25
-# at 384; from L = 256 statistics wins at K <= 4, where pattern counts draw
-# the Gram matrix, and explicit mostly at K = 7, 8); kept at 256 because
+# largest L sampled explicitly (median call over fresh seeds, K = 1..8,
+# M = 16, 2-vCPU Xeon, one BLAS thread, three rounds, explicit against
+# statistics with _second_moment's Gram draw: 0.037-0.054 against
+# 0.054-0.12 ms at L = 64, 0.052-0.057 against 0.052-0.075 at 128,
+# 0.067-0.076 against 0.053-0.074 at 192, 0.085-0.12 against 0.053-0.11
+# at 256); they cross between L = 128 and 192, and 256 is kept because
 # moving it changes draws
 _EXPLICIT_MAX_SNAPSHOTS = 256
-# packed dither words per Gram block, 32 KiB per row (median _dither_gram
+# packed dither words per Gram block, 32 KiB per row (median _packed_gram
 # over fresh seeds at L = 10^6, 2-vCPU Xeon: K = 8 took 2.2 / 1.66 / 1.58 ms
 # and K = 10 3.2 / 2.41 / 2.30 ms at 2048 / 4096 / 8192 words; K = 13 and
 # 16 were within noise at 4096 and 8192, so the smaller temporaries win)
@@ -126,8 +126,8 @@ def _packed_gram(dither: int, k: int, snapshots: int) -> np.ndarray:
 def _sign_patterns(k: int) -> np.ndarray:
     """(K, 2^(K-1)) table of every +/-1 column with first sign +1; column p
     holds the bits of p (a set bit is -1) in rows 1..K-1.  Built once per K
-    and read-only; ``_dither_gram`` asks for it only while it has at most
-    twice as many entries as the packed sign words."""
+    and read-only; ``_second_moment`` asks for it only while it has at most
+    256 columns, or one per packed sign word."""
     signs = np.ones((k, 1 << (k - 1)))
     for row in range(1, k):
         signs[row].reshape(-1, 2, 1 << (row - 1))[:, 1] = -1.0
@@ -152,23 +152,6 @@ def _pattern_gram(dither: int, k: int, snapshots: int) -> np.ndarray:
     return (signs * counts) @ signs.T
 
 
-def _dither_gram(dither: int, k: int, snapshots: int) -> np.ndarray:
-    """Exact dither Gram matrix ``S^T S``: one law, two draws, by cost.
-
-    Either draw restarts the sign stream seeded by ``dither``.
-    """
-    # pattern counts while there are at most two patterns per packed word;
-    # median over fresh seeds, 2-vCPU Xeon, packed against pattern: K = 8,
-    # L = 10^6 1.0-1.6 against 0.03-0.05 ms; K = 9, L = 10^4 0.11-0.13
-    # against 0.08 ms; K = 10, L = 10^4 0.13 against 0.16-0.17 ms; K = 16,
-    # L = 10^6 3.5-4.8 against 8.4-10.7 ms.  Right at 20 of 25 (K, L) points
-    # from L = 300 to 10^6; wrong at K = 6..8, L <= 1000 (pattern faster by
-    # 0.03-0.04 ms), K = 12, L = 10^5 (a tie) and K = 15, L = 10^6 (packed
-    # 2.9-4.2 against 4.6-5.8 ms)
-    pattern = 2 ** (k - 1) <= 2 * -(-snapshots // 64)
-    return (_pattern_gram if pattern else _packed_gram)(dither, k, snapshots)
-
-
 def _wishart_identity(dof: int, dim: int,
                       rng: np.random.Generator) -> np.ndarray:
     """Draw ``X^T X`` for X (dof, dim) with i.i.d. N(0, 1) entries: Wishart(dof, I).
@@ -186,7 +169,7 @@ def _wishart_identity(dof: int, dim: int,
 
 
 def _statistics_second_moment(target_gains: np.ndarray, noise_variance: float,
-                              snapshots: int, dither: int,
+                              snapshots: int, gram: np.ndarray,
                               rng: np.random.Generator) -> np.ndarray:
     """``sum_l y_l y_l^T`` drawn from its sufficient statistics, not snapshots.
 
@@ -194,12 +177,11 @@ def _statistics_second_moment(target_gains: np.ndarray, noise_variance: float,
     (L, r) orthonormal and ``R^T R = S^T S``, r the rank.  The sum is then
     ``(R G^T + Z)^T (R G^T + Z) + W^T (I - U U^T) W`` where ``Z = U^T W``
     has i.i.d. N(0, sigma^2) entries, independent of the last term, which is
-    sigma^2 times a Wishart(L - r, I_M) draw.  Costs the cheaper of the
-    two dither Gram draws, O(min(2^(K-1), L / 64) K^2), and
-    O(K^3 + K M^2 + M^3) after it.
+    sigma^2 times a Wishart(L - r, I_M) draw.  ``gram`` is ``S^T S``, drawn
+    by the caller; after it the cost is O(K^3 + K M^2 + M^3).
     """
     n_anchors, k = target_gains.shape
-    evals, evecs = np.linalg.eigh(_dither_gram(dither, k, snapshots))
+    evals, evecs = np.linalg.eigh(gram)
     keep = evals > evals[-1] * k * np.finfo(float).eps  # matrix_rank's tolerance
     signal = (np.sqrt(evals[keep])[:, None] * evecs[:, keep].T) @ target_gains.T
     if noise_variance <= 0.0:
@@ -212,16 +194,28 @@ def _statistics_second_moment(target_gains: np.ndarray, noise_variance: float,
 def _second_moment(target_gains: np.ndarray, noise_variance: float,
                    snapshots: int, dither: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """(M, M) sum of ``y_l y_l^T`` over L snapshots; see the two samplers.
-
-    ``dither`` seeds the +/-1 sequences, restarted by every draw; ``rng``
-    draws the noise.
-    """
+    """(M, M) sum of ``y_l y_l^T`` over L snapshots; the one place that
+    picks its draw.  ``dither`` seeds the +/-1 sequences, restarted by every
+    draw; ``rng`` draws the noise."""
     if snapshots < 1:
         raise ValueError("snapshot synthesis needs snapshots >= 1")
-    sampler = (_explicit_second_moment if snapshots <= _EXPLICIT_MAX_SNAPSHOTS
-               else _statistics_second_moment)
-    return sampler(target_gains, noise_variance, snapshots, dither, rng)
+    if snapshots <= _EXPLICIT_MAX_SNAPSHOTS:
+        return _explicit_second_moment(target_gains, noise_variance, snapshots,
+                                       dither, rng)
+    k = target_gains.shape[1]
+    # pattern counts up to 256 patterns, or one per packed word beyond;
+    # median call over fresh seeds (M = 16, 2-vCPU Xeon, one BLAS thread),
+    # pattern against packed: K = 5..9, L = 257..1000 0.06-0.12 against
+    # 0.09-0.18 ms; K = 9, L = 10^4 0.10 against 0.13 ms; K = 10, L = 10^4
+    # 0.17-0.18 against 0.14 ms (at L <= 1000 0.10 against 0.12 ms, and at
+    # L = 2.5-3.2 x 10^4 0.13 against 0.15-0.16 ms in the best rounds: there
+    # the rule takes the slower draw); K = 12, L = 10^5 0.34-0.53 against
+    # 0.31 ms; K = 8, L = 10^6 0.08 against 0.96-0.98 ms; K = 15, L = 10^6
+    # 2.66-2.73 against 2.58-2.62 ms
+    pattern = 2 ** (k - 1) <= max(256, -(-snapshots // 64))
+    gram = (_pattern_gram if pattern else _packed_gram)(dither, k, snapshots)
+    return _statistics_second_moment(target_gains, noise_variance, snapshots,
+                                     gram, rng)
 
 
 def synthesize_snapshot_power(target_gains: np.ndarray, noise_variance: float,

@@ -315,6 +315,39 @@ def test_sweep_from_manifest_that_is_not_json_exits_2(tmp_path, capsys, content)
     assert not out.exists()
 
 
+def test_sweep_from_manifest_rejects_a_config_file(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({
+        "config": {"snapshots": 10},
+        "sweep": {"k_list": [2], "snr_list": [20], "trials": 1}}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"snapshots": 50, "grid_pitch": 0.4}))
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--from-manifest", str(manifest),
+                    "--config", str(config), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--config" in err and "--from-manifest" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("installed", [True, False])
+def test_manifest_records_library_versions(tmp_path, monkeypatch, installed):
+    import importlib.metadata
+    import platform
+    scipy = importlib.metadata.version("scipy") if installed else None
+    monkeypatch.setattr(cli, "_scipy_version", cli._scipy_version.__wrapped__)
+    if not installed:
+        def missing(name):
+            raise importlib.metadata.PackageNotFoundError(name)
+        monkeypatch.setattr(importlib.metadata, "version", missing)
+    assert run_cli(["fingerprint", "--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads(read(tmp_path / "manifest.json"))
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert manifest["scipy"] == scipy
+
+
 def test_sweep_from_manifest_rejects_an_empty_sweep_block(tmp_path, capsys):
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"config": {}, "sweep": {}}))

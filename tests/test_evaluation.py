@@ -452,7 +452,8 @@ def test_trial_is_deterministic_per_seed():
 
 # (support, error_m) per scheme at 20 dB, so that a change that moves any draw
 # fails here: the explicit sampler (L = 100), pattern-count (K = 4) and
-# packed-word (K = 10) Gram draws at L = 10^4, and K = 8 at L = 10^6
+# packed-word (K = 10) Gram draws at L = 10^4, K = 8 at L = 10^6, and
+# K = 6 at L = 300 (pattern counts, where a rule by word count alone packs)
 PINNED_TRIALS = [
     (100, 4, 0, 0, {
         "csm": ([185, 389, 5, 249], 0.9040354345626807),
@@ -474,6 +475,10 @@ PINNED_TRIALS = [
         "cocsm": ([270, 399, 120, 119, 384, 107, 17, 245], 1.0767728934305074),
         "rss_baseline": ([60, 158, 207, 288, 315, 327, 396, 399],
                          0.0031422066830039327)}),
+    (300, 6, 4, 0, {
+        "csm": ([195, 85, 398, 285, 15, 219], 0.47929998688658365),
+        "cocsm": ([194, 84, 399, 304, 19, 199], 0.6394999831749009),
+        "rss_baseline": ([47, 135, 196, 227, 238, 379], 0.07270472656848227)}),
 ]
 
 

@@ -9,10 +9,9 @@ from vlp_sparse import (SceneConfig,
                         synthesize_snapshot_power)
 from vlp_sparse.channel import PairIndexMap
 from vlp_sparse.measurement import (_EXPLICIT_MAX_SNAPSHOTS, _GRAM_BLOCK_WORDS,
-                                    _dither_gram,
                                     _explicit_second_moment,
                                     _packed_gram, _pattern_gram,
-                                    _sign_patterns,
+                                    _second_moment, _sign_patterns,
                                     _statistics_second_moment,
                                     _wishart_identity,
                                     synthesize_single_target_powers)
@@ -208,6 +207,15 @@ def _sample_sums(sampler, gains, noise_variance, snapshots, draws, base):
         for i in range(draws)])
 
 
+def _statistics_with(draw):
+    """The statistics sampler, its Gram matrix drawn by ``draw`` from the dither."""
+    def sampler(gains, noise_variance, snapshots, dither, rng):
+        gram = draw(dither, gains.shape[1], snapshots)
+        return _statistics_second_moment(gains, noise_variance, snapshots,
+                                         gram, rng)
+    return sampler
+
+
 def _z_scores(a, b):
     """Two-sample z of the means of per-draw statistics (last axis: stat)."""
     spread = np.sqrt(a.var(axis=0) / len(a) + b.var(axis=0) / len(b))
@@ -227,28 +235,29 @@ def _moment_statistics(sums):
 
 @pytest.mark.parametrize("snapshots,k", [(2, 3), (4, 3), (7, 3), (50, 3),
                                          (CROSSOVER + 1, 3),
-                                         (CROSSOVER + 1, 8)])
+                                         (CROSSOVER + 1, 8), (300, 6)])
 def test_statistics_sampler_matches_explicit_distribution(snapshots, k):
     # entrywise means and variances and one cross-entry covariance of the
-    # sum agree with the explicit reference within sampling error; L < K
+    # sum agree with the explicit reference within sampling error, with the
+    # Gram matrix from packed words and from pattern counts alike; L < K
     # makes the dither Gram matrix singular, L = 4 leaves a Wishart
-    # remainder of fewer degrees of freedom than anchors; at L = 257 the
-    # Gram matrix is drawn from pattern counts at K = 3, packed at K = 8
+    # remainder of fewer degrees of freedom than anchors
     gains = np.random.default_rng(k).uniform(0.5, 1.5, size=(3, k))
     draws = 4000
-    ref = _sample_sums(_explicit_second_moment, gains, 1.0, snapshots,
-                       draws, base=0)
-    new = _sample_sums(_statistics_second_moment, gains, 1.0, snapshots,
-                       draws, base=10 ** 6)
-    z = _z_scores(_moment_statistics(ref), _moment_statistics(new))
-    assert np.all(z < 4.5), z
+    ref = _moment_statistics(_sample_sums(_explicit_second_moment, gains, 1.0,
+                                          snapshots, draws, base=0))
+    for draw in (_packed_gram, _pattern_gram):
+        new = _sample_sums(_statistics_with(draw), gains, 1.0, snapshots,
+                           draws, base=10 ** 6)
+        z = _z_scores(ref, _moment_statistics(new))
+        assert np.all(z < 4.5), (draw.__name__, z)
 
 
 def test_statistics_sampler_detects_a_wrong_noise_level():
     # the comparison above has the power to see a 10% noise-variance error
     gains = np.random.default_rng(3).uniform(0.5, 1.5, size=(3, 3))
     ref = _sample_sums(_explicit_second_moment, gains, 1.0, 50, 4000, base=0)
-    new = _sample_sums(_statistics_second_moment, gains, 1.1, 50, 4000,
+    new = _sample_sums(_statistics_with(_packed_gram), gains, 1.1, 50, 4000,
                        base=10 ** 6)
     z = _z_scores(_moment_statistics(ref), _moment_statistics(new))
     assert np.max(z) > 4.5
@@ -314,17 +323,25 @@ def test_pattern_gram_is_exact(snapshots, k):
 
 
 @pytest.mark.parametrize("k,snapshots,draw,other", [
-    (3, 64, _packed_gram, _pattern_gram),
-    (8, 63 * 64, _packed_gram, _pattern_gram),
+    (6, 300, _pattern_gram, _packed_gram),
+    (8, 1000, _pattern_gram, _packed_gram),
+    (8, 63 * 64, _pattern_gram, _packed_gram),
     (8, 64 * 64, _pattern_gram, _packed_gram),
     (9, 10 ** 4, _pattern_gram, _packed_gram),
-    (10, 10 ** 4, _packed_gram, _pattern_gram)])
+    (10, 10 ** 4, _packed_gram, _pattern_gram),
+    (11, 10 ** 5, _pattern_gram, _packed_gram),
+    (12, 10 ** 5, _packed_gram, _pattern_gram)])
 def test_dither_gram_picks_draw_by_pattern_and_word_count(k, snapshots, draw,
                                                            other):
-    # bit for bit: pattern counts while 2^(K-1) <= 2 ceil(L / 64), else packed
-    gram = _dither_gram(34, k, snapshots)
-    np.testing.assert_array_equal(gram, draw(34, k, snapshots))
-    assert not np.array_equal(gram, other(34, k, snapshots))
+    # bit for bit: above the explicit range, pattern counts while
+    # 2^(K-1) <= max(256, ceil(L / 64)), else packed words
+    gains = np.random.default_rng(k).uniform(0.5, 1.5, size=(3, k))
+    acc = _second_moment(gains, 1.0, snapshots, 34, np.random.default_rng(35))
+    for gram_draw, same in ((draw, True), (other, False)):
+        expected = _statistics_second_moment(gains, 1.0, snapshots,
+                                             gram_draw(34, k, snapshots),
+                                             np.random.default_rng(35))
+        assert np.array_equal(acc, expected) is same, gram_draw.__name__
 
 
 def _exact_off_diagonal_pmf(k, snapshots):
@@ -421,11 +438,14 @@ def test_snapshot_power_is_correlation_diagonal_bit_for_bit(scene, snapshots, k)
     (CROSSOVER + 1, _statistics_second_moment)])
 def test_snapshot_correlation_picks_sampler_by_length(scene, snapshots, sampler):
     # bit for bit: up to the crossover the explicit sampler, then statistics
+    # (K = 3 draws its Gram matrix from pattern counts)
     gains = scene.gains[:, [10, 60, 200]]
     meas = synthesize_snapshot_correlation(gains, 1e-12, snapshots, 34,
                                            np.random.default_rng(35),
                                            scene.pairs)
-    acc = sampler(gains, 1e-12, snapshots, 34,
+    seed_or_gram = 34 if sampler is _explicit_second_moment else _pattern_gram(
+        34, 3, snapshots)
+    acc = sampler(gains, 1e-12, snapshots, seed_or_gram,
                   np.random.default_rng(35))
     np.testing.assert_array_equal(
         meas, acc[scene.pairs.first, scene.pairs.second] / snapshots)
@@ -440,14 +460,14 @@ def test_statistics_sampler_noiseless_single_target_exact(scene, snapshots):
 
 
 def test_statistics_sampler_noiseless_singular_gram_is_exact():
-    # L < K: the dither Gram matrix has rank at most L
+    # L < K: the dither Gram matrix has rank at most L, from either draw
     gains = np.random.default_rng(36).uniform(0.5, 1.5, size=(3, 5))
-    dither = 37
-    gram = _dither_gram(dither, 5, 2)
-    assert np.linalg.matrix_rank(gram) <= 2
-    acc = _statistics_second_moment(gains, 0.0, 2, dither,
-                                    np.random.default_rng(38))
-    np.testing.assert_allclose(acc, gains @ gram @ gains.T, rtol=1e-12)
+    for draw in (_packed_gram, _pattern_gram):
+        gram = draw(37, 5, 2)
+        assert np.linalg.matrix_rank(gram) <= 2
+        acc = _statistics_second_moment(gains, 0.0, 2, gram,
+                                        np.random.default_rng(38))
+        np.testing.assert_allclose(acc, gains @ gram @ gains.T, rtol=1e-12)
 
 
 def _single_target_statistics(powers):
