@@ -107,11 +107,10 @@ class PairIndexMap:
     """Bijection between unordered anchor pairs (i <= j) and matrix rows.
 
     Rows follow lexicographic pair order: (0,0), (0,1), ..., (0,M-1), (1,1),
-    ..., (M-1,M-1).  ``diagonal_rows`` marks the rows that carry the noise
-    floor in correlation measurements.
+    ..., (M-1,M-1), so there are ``len(first)`` of them.  ``diagonal_rows``
+    marks the rows that carry the noise floor in correlation measurements.
     """
 
-    m: int
     first: np.ndarray  # (M(M+1)/2,) anchor i of each row
     second: np.ndarray  # (M(M+1)/2,) anchor j of each row
     diagonal_rows: np.ndarray  # (M,) rows with i == j
@@ -122,11 +121,7 @@ class PairIndexMap:
         diagonal = np.nonzero(first == second)[0]
         for index in (first, second, diagonal):
             index.setflags(write=False)
-        return cls(m=m, first=first, second=second, diagonal_rows=diagonal)
-
-    @property
-    def n_pairs(self) -> int:
-        return self.m * (self.m + 1) // 2
+        return cls(first=first, second=second, diagonal_rows=diagonal)
 
 
 def build_correlation_fingerprint(gains: np.ndarray) -> tuple[np.ndarray, PairIndexMap]:

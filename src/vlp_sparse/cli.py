@@ -204,11 +204,16 @@ def cmd_sweep(config: SceneConfig, out_dir: str, k_list, snr_list,
             f"{dead} report cell(s) had 100% solver failure" if dead else None)
 
 
-def _parse_list(text: str, kind, what: str) -> list:
+def _parse_list(text, kind, key: str) -> list:
+    """A sweep flag's comma-separated ``text``, or a manifest's list, with each
+    string read as ``kind`` (a manifest holds inf as "inf"); ``run_campaign``
+    judges the values."""
+    values = [v for v in text.split(",") if v.strip()] if isinstance(text, str) else text
     try:
-        return [kind(v) for v in text.split(",") if v.strip()]
+        return [kind(v) if isinstance(v, str) else v for v in values]
     except ValueError:
-        raise ConfigError(f"expected comma-separated {what}, got '{text}'") from None
+        raise ConfigError(f"{key}: expected comma-separated {kind.__name__}s, "
+                          f"got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,9 +293,11 @@ def main(argv=None) -> int:
             axes = dict(manifest["sweep"]) if manifest is not None else {
                 "k_list": [2, 4, 6, 8, 10], "snr_list": [20.0], "trials": 200}
             if args.K_list is not None:
-                axes["k_list"] = _parse_list(args.K_list, int, "integers")
+                axes["k_list"] = _parse_list(args.K_list, int, "k_list")
             if args.snr_list is not None:
-                axes["snr_list"] = _parse_list(args.snr_list, float, "numbers")
+                axes["snr_list"] = _parse_list(args.snr_list, float, "snr_list")
+            elif isinstance(axes["snr_list"], list):  # a manifest's, maybe "inf"
+                axes["snr_list"] = _parse_list(axes["snr_list"], float, "snr_list")
             if args.trials is not None:
                 axes["trials"] = args.trials
 

@@ -20,6 +20,7 @@ import math
 import os
 import pickle
 import signal
+import sys
 import traceback
 from dataclasses import dataclass, field
 
@@ -34,8 +35,8 @@ from .measurement import (indicator_from_cells, remove_noise_floor,
 from .measurement import synthesize_snapshot_power  # noqa: F401
 from .recovery import Dictionary, locate_cocsm, locate_csm
 from .scenario import (SCHEMES, ConfigError, GridModel, SceneConfig, _is_integer,
-                       build_grid, check_targets_k, place_leds, realized_snr_db,
-                       sample_targets, snr_to_noise_variance)
+                       _is_real, build_grid, check_targets_k, place_leds,
+                       realized_snr_db, sample_targets, snr_to_noise_variance)
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,14 +327,6 @@ def run_trial(config: SceneConfig, rng: np.random.Generator,
     return results
 
 
-def _as_number(value) -> float | None:
-    """A number or a string that ``float`` reads, as a float; else (a bool too) None."""
-    try:
-        return None if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError, OverflowError):
-        return None
-
-
 def _trial_rng(seed: int, cell_idx: int, trial: int) -> np.random.Generator:
     # spawn-key addressing keeps trials independent of execution order
     return np.random.default_rng(
@@ -385,35 +378,32 @@ def run_campaign(config: SceneConfig, k_list, snr_list, trials: int,
     pair, goes to share ``u % jobs``: the caller runs share 0 and forked
     children the rest (the caller runs all where ``os.fork`` does not exist).
 
-    Raises :class:`ConfigError` before any trial runs on a nonzero
+    Raises :class:`ConfigError` before the scene is built on a nonzero
     ``config.noise_variance`` (the SNRs set the noise), ``trials`` or ``jobs``
-    no integer >= 1, a ``k_list`` no nonempty list of integers, an
-    ``snr_list`` no nonempty list of numbers or strings that ``float`` reads
-    (a manifest writes inf as "inf"), a NaN or -inf SNR (``inf`` is noiseless),
-    a value repeated in either list after that conversion, or a K beyond N/4.
+    no integer >= 1, a ``k_list`` no nonempty list, a K that ``SceneConfig``
+    rejects as ``targets_k``, an ``snr_list`` no nonempty list of numbers each
+    finite or ``inf`` (noiseless), or a value repeated in either list; on a K
+    beyond N/4, once the scene is built.
     """
-    snrs = ([_as_number(s) for s in snr_list]
-            if isinstance(snr_list, (list, tuple)) else [None])
     for key, value, valid, rule in (
-            ("trials", trials, _is_integer(trials), "must be an integer"),
-            ("jobs", jobs, _is_integer(jobs), "must be an integer"),
-            ("k_list", k_list, isinstance(k_list, (list, tuple))
-             and all(map(_is_integer, k_list)), "must be a list of integers"),
-            ("snr_list", snr_list, None not in snrs,
-             "must be a list of numbers or strings that read as one"),
+            ("trials", trials, _is_integer(trials) and trials >= 1,
+             "must be an integer >= 1"),
+            ("jobs", jobs, _is_integer(jobs) and jobs >= 1, "must be an integer >= 1"),
+            ("k_list", k_list, isinstance(k_list, (list, tuple)) and k_list,
+             "must be a nonempty list"),
+            ("snr_list", snr_list, isinstance(snr_list, (list, tuple)) and snr_list
+             and all(_is_real(s) and (s == math.inf or abs(s) <= sys.float_info.max)
+                     for s in snr_list),
+             "must be a nonempty list of numbers, each finite or inf"),
             ("noise_variance", config.noise_variance, config.noise_variance == 0,
              "must be 0, as snr_list sets each cell's noise")):
         if not valid:
             raise ConfigError(f"{key}: {rule}, got {value!r}")
-    k_list, snr_list = [int(k) for k in k_list], snrs
-    for key, value, valid, rule in (
-            ("trials", trials, trials >= 1, "must be >= 1"),
-            ("jobs", jobs, jobs >= 1, "must be >= 1"),
-            ("k_list", k_list, k_list, "must not be empty"),
-            ("snr_list", snr_list, snr_list and all(s > -math.inf for s in snr_list),
-             "must be nonempty, each a number or inf")):
-        if not valid:
-            raise ConfigError(f"{key}: {rule}, got {value}")
+    try:  # SceneConfig judges each K
+        cell_configs = {k: dataclasses.replace(config, targets_k=k) for k in k_list}
+    except ConfigError as exc:
+        raise ConfigError(f"k_list: {exc}") from None
+    k_list, snr_list = [int(k) for k in k_list], [float(s) for s in snr_list]
     for key, values in (("k_list", k_list), ("snr_list", snr_list)):
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:  # two cells would share one key in trial_records
@@ -425,7 +415,6 @@ def run_campaign(config: SceneConfig, k_list, snr_list, trials: int,
         check_targets_k(scene.grid, k)
     if config.solver == "nnls":  # once here, not in each forked child
         import scipy.optimize  # noqa: F401
-    cell_configs = {k: dataclasses.replace(config, targets_k=k) for k in k_list}
     units = [(cell_configs[k], idx, snr, t)
              for idx, (k, snr) in enumerate(cells) for t in range(trials)]
     jobs = min(jobs, len(units)) if hasattr(os, "fork") else 1

@@ -284,7 +284,7 @@ def remove_noise_floor(values: np.ndarray, noise_variance: float,
     values = np.array(values, dtype=float)
     if pairs is None:
         values -= noise_variance
-    elif pairs.n_pairs != len(values):
+    elif len(pairs.first) != len(values):
         raise ValueError("pair map does not match the measurement length")
     else:
         values[pairs.diagonal_rows] -= noise_variance

@@ -96,6 +96,25 @@ class Dictionary:
         return row
 
 
+def _solver_inputs(A, b, k: int, bound) -> tuple[Dictionary, np.ndarray]:
+    """``A`` as a :class:`Dictionary` and ``b`` as a flat float vector, after
+    the one rule on a solver's inputs: ``1 <= k <= bound(rows, cols)``, the
+    solver's own bound; a nonzero column; one entry of ``b`` per row; and a
+    nonzero ``b``.  Raises ``ValueError`` naming the first that fails."""
+    D = Dictionary.of(A)
+    b = np.asarray(b, dtype=float).ravel()
+    rows, cols = D.matrix.shape
+    if not 1 <= k <= bound(rows, cols):
+        raise ValueError(f"k={k} must be in [1, {bound(rows, cols)}]")
+    if not D.inv_norms.any():
+        raise ValueError("dictionary has no nonzero column")
+    if len(b) != rows:
+        raise ValueError(f"measurement has {len(b)} rows, the dictionary {rows}")
+    if not b.any():
+        raise ValueError("zero measurement: support of size k is undefined")
+    return D, b
+
+
 def omp(A: np.ndarray | Dictionary, b: np.ndarray, k: int) -> SparseSolution:
     """Orthogonal matching pursuit: exactly ``k`` greedy selections.
 
@@ -121,18 +140,11 @@ def omp(A: np.ndarray | Dictionary, b: np.ndarray, k: int) -> SparseSolution:
     scale, applied to the squared unit remainder: ``u[j]`` is formed as
     ``1 - ||h||^2``, which cancels, so the Gram domain cannot resolve the
     smaller ``rows * eps`` bound on the remainder itself that a
-    Gram-Schmidt solve can.
+    Gram-Schmidt solve can.  Inputs that break the solvers' one rule, here
+    with ``k`` up to ``min(rows, cols)``, raise ``ValueError``.
     """
-    D = Dictionary.of(A)
-    b = np.asarray(b, dtype=float).ravel()
+    D, b = _solver_inputs(A, b, k, min)
     rows, cols = D.matrix.shape
-    if not 1 <= k <= min(rows, cols):
-        raise ValueError(f"k={k} must be in [1, min(rows, cols)={min(rows, cols)}]")
-    if not D.inv_norms.any():
-        raise ValueError("dictionary has no nonzero column")
-    if b @ b == 0:
-        raise ValueError("zero measurement: support of size k is undefined")
-
     dependent = max(rows, cols) * _EPS
     alpha = (D.matrix.T @ b) * D.inv_norms  # U^T r
     w = np.empty((k, cols))  # Q^T U, one row per pick
@@ -166,18 +178,12 @@ def nnls_top_k(A: np.ndarray | Dictionary, b: np.ndarray, k: int) -> SparseSolut
     Lawson-Hanson active-set method, then ranks cells by ``x / ||column||``,
     the coefficient on the raw column (the indicator estimate).  The support
     holds the ``k`` largest in descending order, ties toward the lowest
-    index.  Raises ``ValueError`` on a zero measurement or when the active
-    set does not settle within scipy's iteration limit.
+    index.  Raises ``ValueError`` on inputs that break the solvers' one rule,
+    here with ``k`` up to the column count, or when the active set does not
+    settle within scipy's iteration limit.
     """
-    D = Dictionary.of(A)
-    b = np.asarray(b, dtype=float).ravel()
+    D, b = _solver_inputs(A, b, k, lambda rows, cols: cols)
     cols = D.matrix.shape[1]
-    if not 1 <= k <= cols:
-        raise ValueError(f"k={k} must be in [1, {cols}]")
-    if not D.inv_norms.any():
-        raise ValueError("dictionary has no nonzero column")
-    if np.linalg.norm(b) == 0:
-        raise ValueError("zero measurement: support of size k is undefined")
     import scipy.optimize
     try:
         x, _ = scipy.optimize.nnls(D.matrix / D.norms, b)
@@ -265,10 +271,6 @@ def _locate(fp: np.ndarray | Dictionary, b: np.ndarray, k: int, grid: GridModel,
         raise ValueError(f"unknown solver '{solver}'")
     if solver == "nnls" and gain_model is None:
         raise ValueError("the nnls solver needs the continuous gain model")
-    fp = Dictionary.of(fp)
-    if len(b) != len(fp.matrix):
-        raise ValueError(f"measurement has {len(b)} rows, the dictionary "
-                         f"{len(fp.matrix)}")
     if solver == "omp":
         return omp(fp, b, k).support
     support = nnls_top_k(fp, b, k).support

@@ -285,6 +285,7 @@ def test_sweep_from_manifest_names_a_missing_sweep_key(tmp_path, capsys, missing
     ({"sweep": {"k_list": [2, 2]}}, "k_list"),
     ({"sweep": {"snr_list": ["inf", "inf"]}}, "snr_list"),
     ({"config": [1]}, "config: must be an object, got [1]"),
+    ({"sweep": {"snr_list": [20, True]}}, "snr_list"),
 ])
 def test_sweep_from_manifest_rejects_malformed_input(tmp_path, capsys, manifest, key):
     if isinstance(manifest, dict):  # replace one part of a valid manifest
@@ -652,13 +653,16 @@ def test_dead_cell_sweep_lists_outputs_then_fails(tmp_path, monkeypatch, capsys)
 def test_bad_k_list_exits_2_before_the_output_directory(tmp_path, capsys):
     out = tmp_path / "out"
     for argv, message in (
-            (["sweep", "--K-list", "2,x"], "expected comma-separated integers, got '2,x'"),
-            (["sweep", "--trials", "0"], "trials: must be >= 1, got 0"),
-            (["sweep", "--jobs", "0"], "jobs: must be >= 1, got 0"),
+            (["sweep", "--K-list", "2,x"],
+             "k_list: expected comma-separated ints, got '2,x'"),
+            (["sweep", "--K-list", "2,0"], "k_list: targets_k: must be >= 1"),
+            (["sweep", "--trials", "0"], "trials: must be an integer >= 1, got 0"),
+            (["sweep", "--jobs", "0"], "jobs: must be an integer >= 1, got 0"),
             (["sweep", "--K-list", "500"],
              "targets_k: must be in [1, 100] for this grid, got 500"),
             (["sweep", "--snr-list", "nan"],
-             "snr_list: must be nonempty, each a number or inf, got [nan]"),
+             "snr_list: must be a nonempty list of numbers, each finite or inf, "
+             "got [nan]"),
             (["sweep", "--set", "noise_variance=1e-9"],
              "noise_variance: must be 0, as snr_list sets each cell's noise, "
              "got 1e-09"),

@@ -492,6 +492,30 @@ def test_trial_draws_are_pinned(snapshots, k, cell, trial, expected):
         assert results[scheme].error_m == pytest.approx(error_m, rel=1e-9), scheme
 
 
+# the nnls path at two addresses of PINNED_TRIALS
+NNLS_PINNED_TRIALS = [
+    (100, 4, 0, 0, {
+        "csm": ([145, 368, 202, 126], 0.15567208752552078),
+        "cocsm": ([126, 348, 145, 202], 0.2006715444962433),
+        "rss_baseline": ([126, 145, 180, 369], 0.10978617813369798)}),
+    (300, 6, 4, 0, {
+        "csm": ([177, 135, 47, 379, 227, 257], 0.1828508646519851),
+        "cocsm": ([378, 135, 47, 177, 227, 257], 0.18812637377268024),
+        "rss_baseline": ([47, 135, 196, 227, 238, 379], 0.07270472656848227)}),
+]
+
+
+@pytest.mark.parametrize("snapshots,k,cell,trial,expected", NNLS_PINNED_TRIALS)
+def test_nnls_trial_draws_are_pinned(snapshots, k, cell, trial, expected):
+    # refinement's trf stops at xtol = 1e-8, so errors are pinned to 1e-6
+    cfg = SceneConfig(targets_k=k, snapshots=snapshots, seed=25, solver="nnls")
+    results = run_trial(cfg, _trial_rng(cfg.seed, cell, trial), snr_db=20.0)
+    assert list(results) == list(expected)
+    for scheme, (support, error_m) in expected.items():
+        assert results[scheme].support.tolist() == support, scheme
+        assert results[scheme].error_m == pytest.approx(error_m, rel=1e-6), scheme
+
+
 def test_trial_keeps_the_failure_reason(monkeypatch):
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("singular design")
@@ -745,8 +769,11 @@ def test_campaign_row_order_and_counts():
     ([2], [10.0], 1, True, "jobs"),
     ([2], [10.0], 1, "2", "jobs"),
     ([2, 2], [20.0], 1, 1, "k_list"),
-    ([2], [20.0, "20"], 1, 1, "snr_list"),
-    ([2], ["inf", math.inf], 1, 1, "snr_list"),
+    ([2], [20, 20.0], 1, 1, "snr_list"),
+    ([2], [math.inf, math.inf], 1, 1, "snr_list"),
+    ([2], ["20"], 1, 1, "snr_list"),
+    ([2], ["inf"], 1, 1, "snr_list"),
+    ([0], [10.0], 1, 1, "k_list"),
 ])
 def test_campaign_rejects_bad_inputs_before_building_the_scene(
         monkeypatch, k_list, snr_list, trials, jobs, key):

@@ -89,7 +89,7 @@ def test_ideal_correlation_affine_in_disjoint_indicators(scene):
     m_ab = synthesize_ideal_correlation(scene.corr_dict.matrix, a + b, s2, scene.pairs)
     m_a = synthesize_ideal_correlation(scene.corr_dict.matrix, a, s2, scene.pairs)
     m_b = synthesize_ideal_correlation(scene.corr_dict.matrix, b, s2, scene.pairs)
-    floor = np.zeros(scene.pairs.n_pairs)
+    floor = np.zeros(len(scene.pairs.first))
     floor[scene.pairs.diagonal_rows] = s2
     np.testing.assert_allclose(m_ab, m_a + m_b - floor,
                                rtol=1e-12, atol=1e-20)

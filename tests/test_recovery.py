@@ -125,9 +125,28 @@ def test_omp_rejects_all_zero_dictionary():
 
 @pytest.mark.parametrize("k", [0, 4])
 def test_omp_rejects_k_out_of_range(k):
-    message = f"k={k} must be in [1, min(rows, cols)=3]"
+    message = f"k={k} must be in [1, 3]"  # min(rows, cols)
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         omp(np.eye(3, 5), np.ones(3), k)
+
+
+@pytest.mark.parametrize("solve,bound", [(omp, 3), (nnls_top_k, 5)],
+                         ids=["omp", "nnls_top_k"])
+def test_solvers_share_one_input_rule(solve, bound):
+    # each solver keeps its own bound on k: min(rows, cols), or cols
+    A = np.eye(3, 5)
+    for matrix, b, k, message in (
+            (A, np.ones(3), 0, f"k=0 must be in [1, {bound}]"),
+            (A, np.ones(3), bound + 1, f"k={bound + 1} must be in [1, {bound}]"),
+            (np.zeros((3, 5)), np.ones(3), 1, "dictionary has no nonzero column"),
+            (A, np.ones(4), 1, "measurement has 4 rows, the dictionary 3"),
+            (A, np.ones((1, 4)), 1, "measurement has 4 rows, the dictionary 3"),
+            (A, np.zeros(3), 1, "zero measurement: support of size k is undefined"),
+            (Dictionary.of(A), -0.0 * np.ones(3), 1, "zero measurement")):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            solve(matrix, b, k)
+    # a nonzero measurement whose squares underflow is no zero measurement
+    assert solve(A, np.array([0.0, 1e-200, 0.0]), 1).support.tolist() == [1]
 
 
 def test_omp_rejects_fewer_independent_columns_than_k():
